@@ -4,12 +4,12 @@
    committed next to this file, so the gate and CI read one source of
    truth instead of inline literals.
 
-   Four independent gates; the first three run against the rnd1k
-   problem of [Parbench.run] (fixed seed, so everything but wall time
-   is deterministic), the fourth against the rnd2k batch A/B:
+   Eight independent gates, on fixed seeds, so everything but wall time
+   is deterministic:
 
    1. Counter gate.  The instrumented counters of one explain-build +
-      diagnose run at 1 domain are compared with the committed
+      diagnose run at 1 domain, each on a fresh session without a
+      signature arena, are compared with the committed
       baseline_stats.json.  Work counters (faults simulated, gate
       events, scoring evaluations, candidate-pool size) must not grow
       past [max_counter_growth] — the kernel-event regressions the
@@ -21,10 +21,12 @@
       baseline after an intentional kernel change with:
         dune exec bench/check_regress.exe -- --write-baseline
 
-   2. Cache gate.  The cross-trial hit rate of the fault-signature
-      cache over one sequential campaign cell must stay above
-      [min_cache_hit_rate] — deterministic for the fixed seed, and the
-      first thing to collapse if the cache key or registry regresses.
+   2. Campaign-arena gate.  One sequential campaign cell on its
+      prewarmed session must make zero [cache.misses]: every signature
+      a trial asks for (matrix rows, the single-fault baseline's pool)
+      comes from the arena.  Deterministic; a miss means some phase
+      keys a fault the sweep does not cover and silently simulates it
+      per trial again.
 
    3. Timing gate.  The fork-join property PR 2 bought: adding domains
       must not make [Explain.build] meaningfully slower than one domain
@@ -33,12 +35,12 @@
       a shared single CPU measures, because such hosts add tens of
       percent of run-to-run noise.
 
-   4. Batch-speedup gate.  Same-binary A/B on rnd2k: batched
+   4. Batch-speedup gate.  Same-binary A/B on rnd2k: the batched
       explain-build must stay at least [min_batch_speedup] times faster
-      than the per-fault loop — the perf property the PPSFP pass
-      bought.  [Batchbench] interleaves the modes and ratios best
-      times, which is what keeps this timing gate stable enough to
-      floor at all.
+      than the per-fault reference ([Explain_ref]) — the perf property
+      the PPSFP pass bought.  [Batchbench] interleaves the modes and
+      ratios best times, which is what keeps this timing gate stable
+      enough to floor at all.
 
    5. Volume-throughput gate.  Request-level scaling of the volume
       service on rnd2k: draining one warm session with >= 2 worker
@@ -53,16 +55,11 @@
       bottleneck on the shared session driving 2 workers far below
       the plain overhead cost).
 
-   6. Prewarm gate.  Same report as gate 5: the prewarm+frozen arm's
-      diagnoses/sec over the lazy-warm arm's, best ratio across the
-      worker counts, must stay above [min_prewarm_speedup].  The frozen
-      tier replaces every warm hit's shard lock + hashtable probe with
-      an array load, so the ratio cannot legitimately fall below parity
-      on any core count — the floor sits just under 1.0 to absorb
-      timing jitter and catches the frozen read path regressing (e.g.
-      probes falling through to the mutable tier again).  Multi-core
-      hosts measure well above the floor at 2+ workers, where freezing
-      also removes the contention.
+   6. Frozen-drain gate.  Same report as gate 5: the rnd2k drain on
+      its prewarmed session must make zero [cache.misses], and a bare
+      matrix build per die must simulate zero faults — every row
+      replays from the arena.  Deterministic; it catches probes
+      falling through to simulation on the service path.
 
    7. Exact-agreement gate.  Differential oracle on the covering step:
       the same seeded rnd1k trial stream diagnosed under the greedy and
@@ -84,8 +81,8 @@
       publish + first diagnose) must stay at least [min_store_speedup]
       times faster than the cold path, where the first diagnosis
       simulates the candidate pool itself.  [Storebench] interleaves
-      the arms run by run on private cache instances and ratios best
-      times, the same noise defense as gates 4-6. *)
+      the arms run by run on fresh sessions and ratios best times, the
+      same noise defense as gates 4 and 5. *)
 
 let die fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 1) fmt
 
@@ -94,13 +91,11 @@ let baseline_path = "baseline_stats.json"
 
 type thresholds = {
   min_speedup_at_4 : float;
-  min_cache_hit_rate : float;
   max_counter_growth : float;
   min_counter_ratio : float;
   min_batch_speedup : float;
   min_volume_throughput : float;
   min_volume_throughput_1cpu : float;
-  min_prewarm_speedup : float;
   min_exact_agreement : float;
   min_store_speedup : float;
   gated_counters : string list;
@@ -124,13 +119,11 @@ let load_thresholds () =
   in
   {
     min_speedup_at_4 = fnum "min_speedup_at_4";
-    min_cache_hit_rate = fnum "min_cache_hit_rate";
     max_counter_growth = fnum "max_counter_growth";
     min_counter_ratio = fnum "min_counter_ratio";
     min_batch_speedup = fnum "min_batch_speedup";
     min_volume_throughput = fnum "min_volume_throughput";
     min_volume_throughput_1cpu = fnum "min_volume_throughput_1cpu";
-    min_prewarm_speedup = fnum "min_prewarm_speedup";
     min_exact_agreement = fnum "min_exact_agreement";
     min_store_speedup = fnum "min_store_speedup";
     gated_counters;
@@ -195,28 +188,24 @@ let check_counters t current =
     t.gated_counters;
   if !failures > 0 then exit 1
 
-(* Cross-trial cache effectiveness: a sequential campaign cell re-runs
-   diagnosis on the same circuit and test set with fresh defects each
-   trial, so from trial 2 on the signature cache should answer most
-   probes.  A collapsed hit rate means the cache key, the registry or
-   the eviction budget broke — results stay correct, but the cross-phase
-   reuse the cache exists for is gone. *)
-let check_cache_hit_rate t =
-  let rate, hits, misses = Parbench.campaign_hit_rate () in
-  Printf.printf
-    "check_regress: cache hit rate %.3f (%d hits / %d misses, floor %.2f)\n%!" rate
-    hits misses t.min_cache_hit_rate;
-  if rate < t.min_cache_hit_rate then
-    die "check_regress: FAIL — campaign cache hit rate %.3f below floor %.2f" rate
-      t.min_cache_hit_rate
+(* Gate 2: a sequential campaign cell re-runs diagnosis on the same
+   circuit and test set with fresh defects each trial, against one
+   prewarmed session, so no trial may simulate a signature: the
+   results stay correct either way, but the cross-trial reuse the arena
+   exists for is gone. *)
+let check_campaign_arena () =
+  let hits, misses = Parbench.campaign_arena_probes () in
+  Printf.printf "check_regress: campaign cell on its arena: %d frozen hits, %d misses\n%!"
+    hits misses;
+  if misses <> 0 || hits = 0 then
+    die "check_regress: FAIL — campaign cell made %d cache misses (%d hits) on its arena"
+      misses hits
 
-(* The timing gate measures the fork-join kernel itself, so it runs
-   against cache-off sessions: with a warm cache the timed runs replay
-   stored signatures sequentially and the domain count stops mattering. *)
+(* The timing gate measures the fork-join kernel itself; [Parbench]
+   sessions hold no arena, so every timed run simulates. *)
 let check_timing t =
   let report =
-    Parbench.run ~circuit:"rnd1k" ~domain_counts:[ 1; 4 ] ~repeats:7 ~with_stats:false
-      ~cache:false ()
+    Parbench.run ~circuit:"rnd1k" ~domain_counts:[ 1; 4 ] ~repeats:7 ~with_stats:false ()
   in
   let sample d =
     match
@@ -253,24 +242,22 @@ let write_baseline () =
     (List.length counters)
 
 (* The perf property the PPSFP pass bought: same-binary A/B on rnd2k,
-   batched explain-build versus the per-fault loop.  [Batchbench]
+   batched explain-build versus the per-fault reference.  [Batchbench]
    interleaves the two modes run by run and the ratio divides best
    (minimum) times, so a shared host's speed drift cancels out of the
    ratio instead of flaking the floor. *)
 let check_batch_speedup t =
   let report = Batchbench.run ~circuits:[ "rnd2k" ] ~repeats:7 () in
   match Batchbench.speedups report with
-  | [ (_, explain_speedup, diagnose_speedup) ] ->
-    Printf.printf
-      "check_regress: rnd2k batched vs per-fault: explain %.2fx, diagnose %.2fx \
-       (floor %.2fx on explain)\n%!"
-      explain_speedup diagnose_speedup t.min_batch_speedup;
+  | [ (_, explain_speedup) ] ->
+    Printf.printf "check_regress: rnd2k batched vs per-fault explain %.2fx (floor %.2fx)\n%!"
+      explain_speedup t.min_batch_speedup;
     if explain_speedup < t.min_batch_speedup then
       die "check_regress: FAIL — batched explain-build speedup %.2fx below floor %.2fx"
         explain_speedup t.min_batch_speedup
   | _ -> die "check_regress: batch bench produced no rnd2k speedup"
 
-(* Request-level scaling of the volume service: one warm rnd2k session,
+(* Request-level scaling of the volume service: one prewarmed rnd2k session,
    the same die queue drained at 1 and at >= 2 worker domains, speedup
    as a ratio of best drain times.  The floor is core-count aware: on a
    single-CPU host extra worker domains are pure overhead (~0.8x at 2
@@ -282,7 +269,7 @@ let check_volume_throughput t =
   (* The bench no longer times arms with workers > cores (they only
      measure oversubscription) — on a single-core host every multi-worker
      arm is skipped and the scaling floor has no signal to check.  Gate 6
-     below still runs off the 1-worker arm. *)
+     below does not depend on the worker counts. *)
   let timed_multi =
     List.exists (fun s -> s.Volumebench.workers > 1) report.Volumebench.samples
   in
@@ -308,16 +295,15 @@ let check_volume_throughput t =
         "check_regress: FAIL — volume multi-worker throughput %.3fx below floor %.2fx"
         speedup floor_
   end;
-  (* Gate 6, off the same report (the two arms were interleaved run by
-     run): prewarm+frozen drains over lazy-warm drains. *)
-  let prewarm_speedup = Volumebench.best_prewarm_speedup report in
+  (* Gate 6, off the same report: the drain replayed every signature. *)
   Printf.printf
-    "check_regress: prewarm+frozen vs lazy-warm on rnd2k: best ratio %.3fx (floor \
-     %.2fx; one-time sweep %.1f ms)\n%!"
-    prewarm_speedup t.min_prewarm_speedup report.Volumebench.prewarm_ms;
-  if prewarm_speedup < t.min_prewarm_speedup *. 0.98 then
-    die "check_regress: FAIL — prewarm+frozen throughput ratio %.3fx below floor %.2fx"
-      prewarm_speedup t.min_prewarm_speedup
+    "check_regress: frozen rnd2k drain: %d cache misses, %d faults simulated by explain \
+     (one-time prewarm %.1f ms)\n%!"
+    report.Volumebench.misses report.Volumebench.explain_simulated
+    report.Volumebench.prewarm_ms;
+  if report.Volumebench.misses <> 0 || report.Volumebench.explain_simulated <> 0 then
+    die "check_regress: FAIL — frozen drain simulated: %d cache misses, %d explain faults"
+      report.Volumebench.misses report.Volumebench.explain_simulated
 
 (* Differential oracle on the covering step (gate 7): greedy vs exact
    on the same seeded rnd1k trial stream.  Counter-free and wall-clock
@@ -364,7 +350,7 @@ let check_store_speedup t =
         (float_of_int s.Storebench.boxed_bytes /. 1048576.0)
         (float_of_int s.Storebench.file_bytes /. 1048576.0);
       if not s.Storebench.fits_budget then
-        die "check_regress: FAIL — packed arena for %s exceeds the default budget"
+        die "check_regress: FAIL — packed arena for %s exceeds the 64 MB ceiling"
           s.Storebench.circuit)
     report.Storebench.samples;
   let speedup = Storebench.min_load_speedup report in
@@ -382,7 +368,7 @@ let () =
       let t = load_thresholds () in
       let _report, current = capture_current () in
       check_counters t current;
-      check_cache_hit_rate t;
+      check_campaign_arena ();
       check_timing t;
       check_batch_speedup t;
       check_volume_throughput t;

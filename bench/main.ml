@@ -9,7 +9,8 @@
      dune exec bench/main.exe -- micro        # Bechamel kernels only
      dune exec bench/main.exe -- parallel     # domain scaling, writes
                                               # BENCH_parallel.json
-     dune exec bench/main.exe -- batch        # PPSFP batch A/B per tier
+     dune exec bench/main.exe -- batch        # PPSFP batch vs per-fault
+                                              # reference per tier
                                               # (MDD_BENCH_TIER=large for
                                               # rnd10k/rnd50k), writes
                                               # BENCH_batch.json
@@ -176,9 +177,9 @@ let run_batch () =
 
 (* --- Volume-service throughput -------------------------------------- *)
 
-(* Diagnoses/sec of one warm rnd2k session drained at 1/2/4 worker
-   domains, lazy-warm vs prewarm+frozen arms — request-level
-   parallelism, the scaling axis volume diagnosis actually ships.  On a
+(* Diagnoses/sec of one prewarmed rnd2k session drained at 1/2/4
+   worker domains — request-level parallelism, the scaling axis volume
+   diagnosis actually ships.  On a
    single-CPU host expect parity across worker counts; the JSON records
    the curve either way.  MDD_BENCH_TIER=large (the weekly CI job) adds
    an rnd50k point with a small die queue, tracking the cold-start
@@ -206,7 +207,7 @@ let run_volume () =
    vs the live prewarm sweep vs adopting a saved snapshot
    (EXPERIMENTS Fig 1c, regression gate 8).  MDD_BENCH_TIER=large adds
    the rnd50k point — the circuit whose full-pool arena must sit inside
-   the default 64 MB budget. *)
+   the 64 MB ceiling. *)
 let run_store () =
   let circuits =
     match Sys.getenv_opt "MDD_BENCH_TIER" with
@@ -219,11 +220,11 @@ let run_store () =
   Storebench.write_json ~path report;
   Printf.printf "(wrote %s)\n\n%!" path;
   (* Hard acceptance, not a soft report: every circuit's full-pool
-     packed arena must sit inside the default cache budget. *)
+     packed arena must sit inside the 64 MB ceiling. *)
   List.iter
     (fun (s : Storebench.sample) ->
       if not s.Storebench.fits_budget then begin
-        Printf.eprintf "store bench: %s arena (%d bytes) exceeds the %d-byte budget\n"
+        Printf.eprintf "store bench: %s arena (%d bytes) exceeds the %d-byte ceiling\n"
           s.Storebench.circuit s.Storebench.arena_bytes s.Storebench.budget_bytes;
         exit 1
       end)

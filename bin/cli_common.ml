@@ -67,40 +67,17 @@ let no_prune_arg =
   in
   Arg.(value & flag & info [ "no-prune" ] ~doc)
 
-let no_cache_arg =
-  let doc =
-    "Disable the cross-phase fault-signature cache; the MDD_NO_CACHE \
-     environment variable does the same.  For A/B measurement — results \
-     are identical either way."
-  in
-  Arg.(value & flag & info [ "no-cache" ] ~doc)
-
-let no_batch_arg =
-  let doc =
-    "Disable the PPSFP batched fault-simulation pass and fall back to \
-     the per-fault scalar sweep; the MDD_NO_BATCH environment variable \
-     does the same.  For A/B measurement — results are identical either \
-     way."
-  in
-  Arg.(value & flag & info [ "no-batch" ] ~doc)
-
 let prewarm_arg =
   let doc =
     "Before the first diagnosis, fault-simulate the whole collapsed \
-     fault pool in one batched sweep and freeze the signature cache: \
-     every later signature read is lock-free, and the cold first-die \
-     path disappears.  Pays off when many datalogs share one circuit \
-     ($(b,--batch-dir), $(b,--serve)); the MDD_PREWARM environment \
-     variable does the same.  Results are identical either way."
+     fault pool in one batched sweep and keep the signatures in a packed \
+     arena that every later diagnosis replays instead of simulating.  \
+     $(b,--batch-dir) and $(b,--serve) always do this, since many \
+     datalogs share the circuit there; for a single die it pays off \
+     with $(b,--store-dir).  The MDD_PREWARM environment variable does \
+     the same.  Results are identical either way."
   in
   Arg.(value & flag & info [ "prewarm" ] ~doc)
-
-let cache_mb_arg =
-  let doc =
-    "Signature-cache memory budget per problem, in MB (default 64); the \
-     MDD_SIG_CACHE_MB environment variable is the documented fallback."
-  in
-  Arg.(value & opt (some int) None & info [ "cache-mb" ] ~docv:"MB" ~doc)
 
 let cover_arg =
   let doc =
@@ -118,10 +95,12 @@ let cover_arg =
 
 let store_dir_arg =
   let doc =
-    "Directory for persistent signature snapshots.  With $(b,--prewarm), \
-     a valid snapshot for this (circuit, pattern set) is loaded instead \
-     of running the sweep — the fleet pays the whole-pool simulation \
-     once per design — and a live sweep saves its arena back here.  \
+    "Directory for persistent signature snapshots.  With $(b,--prewarm) \
+     (implied by $(b,--batch-dir) and $(b,--serve)), a valid snapshot \
+     for this (circuit, pattern set) is loaded instead of running the \
+     sweep — the fleet pays the whole-pool simulation once per design — \
+     and a live sweep saves its arena back here, creating the directory \
+     as needed; a failed save is reported on stderr.  \
      Snapshots are validated against a digest of the problem and the \
      encode version; a stale or corrupt file is rejected (counter \
      store.rejects) and the run falls back to the live sweep.  The \
@@ -140,24 +119,13 @@ let cover_budget_arg =
   in
   Arg.(value & opt (some int) None & info [ "cover-budget" ] ~docv:"N" ~doc)
 
-(* The MDD_NO_PRUNE / MDD_NO_CACHE / MDD_NO_BATCH / MDD_PREWARM /
-   MDD_SIG_CACHE_MB / MDD_COVER / MDD_COVER_BUDGET / MDD_SIG_STORE
-   environment switches are resolved here, once, into a
+(* The MDD_NO_PRUNE / MDD_PREWARM / MDD_COVER / MDD_COVER_BUDGET /
+   MDD_SIG_STORE environment switches are resolved here, once, into a
    [Session.config] record — nothing in lib/ reads them.  Boolean flags
    only push away from the default: leaving one off keeps the
    environment-derived setting in place, mirroring [apply_domains]. *)
 let env_off name =
   match Sys.getenv_opt name with None | Some "" -> false | Some _ -> true
-
-(* MDD_SIG_CACHE_MB fallback: positive integers only, anything else is
-   ignored (same leniency the pre-session reader had). *)
-let env_cache_mb () =
-  match Sys.getenv_opt "MDD_SIG_CACHE_MB" with
-  | None -> None
-  | Some v -> (
-    match int_of_string_opt (String.trim v) with
-    | Some mb when mb >= 1 -> Some mb
-    | Some _ | None -> None)
 
 (* MDD_COVER fallback: the same names the flag accepts; anything else is
    ignored. *)
@@ -179,14 +147,7 @@ let env_cover_budget () =
 let env_store_dir () =
   match Sys.getenv_opt "MDD_SIG_STORE" with None | Some "" -> None | Some dir -> Some dir
 
-let session_config ?(prewarm = false) ?cache_mb ?cover ?cover_budget ?store_dir
-    ~no_prune ~no_cache ~no_batch ~domains () =
-  let cache_mb =
-    match cache_mb with
-    | Some mb when mb >= 1 -> mb
-    | Some _ | None -> (
-      match env_cache_mb () with Some mb -> mb | None -> Sig_cache.default_budget_mb)
-  in
+let session_config ?(prewarm = false) ?cover ?cover_budget ?store_dir ~no_prune ~domains () =
   let cover =
     match cover with
     | Some c -> c
@@ -204,10 +165,7 @@ let session_config ?(prewarm = false) ?cache_mb ?cover ?cover_budget ?store_dir
   let store_dir = match store_dir with Some _ as d -> d | None -> env_store_dir () in
   {
     Session.prune = not (no_prune || env_off "MDD_NO_PRUNE");
-    cache = not (no_cache || env_off "MDD_NO_CACHE");
-    batch = not (no_batch || env_off "MDD_NO_BATCH");
     domains;
-    cache_mb;
     prewarm = prewarm || env_off "MDD_PREWARM";
     cover;
     cover_budget;
@@ -220,14 +178,11 @@ let session_config ?(prewarm = false) ?cache_mb ?cover ?cover_budget ?store_dir
 let config_meta (c : Session.config) =
   [
     ("prune", if c.Session.prune then "on" else "off");
-    ("cache", if c.Session.cache then "on" else "off");
-    ("batch", if c.Session.batch then "on" else "off");
     ( "domains",
       string_of_int
         (match c.Session.domains with
         | Some d -> d
         | None -> Parallel.default_domains ()) );
-    ("cache_mb", string_of_int c.Session.cache_mb);
     ("prewarm", if c.Session.prewarm then "on" else "off");
     ("cover", match c.Session.cover with Session.Greedy -> "greedy" | Session.Exact -> "exact");
     ("store_dir", match c.Session.store_dir with Some d -> d | None -> "off");

@@ -72,17 +72,21 @@ let read_file path =
   text
 
 let run bench suite patterns_file datalog_file batch_dir serve workers out method_
-    no_validate no_prune no_cache no_batch prewarm cache_mb cover cover_budget store_dir
-    domains stats =
+    no_validate no_prune prewarm cover cover_budget store_dir domains stats =
   Cli_common.apply_domains domains;
+  (* Many dies share one session in volume and serve mode, so the
+     whole-pool arena always pays for itself there. *)
+  let prewarm = prewarm || batch_dir <> None || serve in
   let scfg =
-    Cli_common.session_config ~prewarm ?cache_mb ?cover ?cover_budget ?store_dir
-      ~no_prune ~no_cache ~no_batch ~domains ()
+    Cli_common.session_config ~prewarm ?cover ?cover_budget ?store_dir ~no_prune ~domains ()
   in
   let stats_dest = Cli_common.init_stats stats in
   let net = Cli_common.or_die (Cli_common.load_circuit bench suite) in
   let pats = Cli_common.or_die (Cli_common.load_patterns net patterns_file) in
   let session = Session.create ~config:scfg net pats in
+  if Session.save_failed session then
+    Printf.eprintf "warning: could not save the signature snapshot under %s\n%!"
+      (Option.value scfg.Session.store_dir ~default:"");
   let parse_dlog text =
     try
       Ok (Datalog.of_text ~npatterns:(Pattern.count pats) ~npos:(Netlist.num_pos net) text)
@@ -211,7 +215,7 @@ let cmd =
       `P
         "With --batch-dir or --serve the tool runs as a volume-diagnosis \
          service: the engine context (good-machine words, reachability \
-         screen, signature cache) is built once and every die reuses it, \
+         screen, signature arena) is built once and every die reuses it, \
          one whole diagnosis per worker domain.";
     ]
   in
@@ -220,8 +224,7 @@ let cmd =
     Term.(
       const run $ Cli_common.bench_arg $ Cli_common.suite_arg $ Cli_common.patterns_arg
       $ datalog_arg $ batch_dir_arg $ serve_arg $ workers_arg $ out_arg $ method_arg
-      $ no_validate_arg $ Cli_common.no_prune_arg $ Cli_common.no_cache_arg
-      $ Cli_common.no_batch_arg $ Cli_common.prewarm_arg $ Cli_common.cache_mb_arg
+      $ no_validate_arg $ Cli_common.no_prune_arg $ Cli_common.prewarm_arg
       $ Cli_common.cover_arg $ Cli_common.cover_budget_arg $ Cli_common.store_dir_arg
       $ Cli_common.domains_arg $ Cli_common.stats_arg)
 

@@ -21,8 +21,8 @@ let build_session flavour session =
   let pats = Session.patterns session in
   let collapsed = Fault_list.collapse net in
   let npatterns = Pattern.count pats in
-  (* All entry signatures in one pass: cache hits replay (keyed by class
-     representative, exactly the faults enumerated here), misses fill
+  (* All entry signatures in one pass: arena hits replay (keyed by class
+     representative, exactly the faults enumerated here), the rest go
      through the session's PPSFP slabs rather than per-fault cone
      walks — dictionary construction is the most signature-hungry
      consumer in the repo. *)

@@ -23,7 +23,7 @@ type t
 
 val build_session : flavour -> Session.t -> t
 (** Build against a warm session: entry signatures resolve through
-    {!Session.fault_triples} (cache replay + batched miss fill). *)
+    {!Session.fault_triples} (arena replay + batched simulation). *)
 
 val build : flavour -> Netlist.t -> Pattern.t -> t
 (** One-shot convenience over {!build_session} (transient default

@@ -103,31 +103,23 @@ let seed_candidates net dlog =
   done;
   Array.of_list !l
 
-(* Grow-by-doubling int buffer for recording signature triples inside
-   the parallel region.  Recording allocates (unlike the matrix-filling
-   path), but only on cache misses, amortised by doubling — the price of
-   making the simulated block reusable by every later phase. *)
-type tbuf = { mutable buf : int array; mutable len : int }
+(* Where one row's triple stream stands: its matrix row, the block of
+   the last triple, and the OR of that block's diff words. *)
+type cursor = { mutable row : int; mutable bi : int; mutable any : int }
 
-let tbuf_push b v =
-  if b.len = Array.length b.buf then begin
-    let bigger = Array.make (2 * max 64 b.len) 0 in
-    Array.blit b.buf 0 bigger 0 b.len;
-    b.buf <- bigger
-  end;
-  b.buf.(b.len) <- v;
-  b.len <- b.len + 1
+let new_cursor () = { row = -1; bi = -1; any = 0 }
 
-let build_session session dlog =
+let build_session ?domains session dlog =
   Obs.phase "explain-build" @@ fun () ->
   (* Sub-phases (nested spans, see [Obs]): prep = seeding, screening,
      class collapse, lookup tables and the chunk plan; sim = the
-     parallel region over cache misses; replay = signature store plus
-     warm-row matrix fill.  On warm-cache rebuilds sim is empty and the
-     split shows where the remaining time lives. *)
+     parallel region over rows the arena lacks; replay = the matrix fill
+     of arena rows.  On a prewarmed session sim is empty and the split
+     shows where the remaining time lives. *)
   let sp_prep = Obs.span_begin "explain.prep" in
   let net = Session.netlist session in
-  let { Session.prune; batch = use_batch; domains; _ } = Session.config session in
+  let { Session.prune; domains = session_domains; _ } = Session.config session in
+  let domains = match domains with Some _ -> domains | None -> session_domains in
   let seeded = seed_candidates net dlog in
   let num_seeded = Array.length seeded in
   let observations = Datalog.observations dlog in
@@ -147,11 +139,9 @@ let build_session session dlog =
   let nfail_pos = Array.map (fun p -> List.length (Datalog.failing_pos dlog p)) failing in
   (* Good-machine words, pattern blocks and the PO-reachability screen
      all come precomputed from the session, shared read-only by all
-     workers; the cache instance (when the session holds one) is the
-     shared per-problem memo. *)
+     workers. *)
   let blocks = Session.blocks session in
   let nblocks = Array.length blocks in
-  let scache = Session.cache session in
   let goods = Session.goods session in
   let fail_masks =
     Array.map
@@ -165,8 +155,8 @@ let build_session session dlog =
   in
   (* Word-level observed-bit masks, one per (block, PO): bit [k] is set
      iff pattern [base + k] is failing *and* that (pattern, po) pair was
-     observed failing.  The batched matrix fill and the cache replay
-     split each diff word into matched ([w land obsmask]) and spurious
+     observed failing.  The matrix fill splits each diff word into
+     matched ([w land obsmask]) and spurious
      ([w land fail_mask land lnot obsmask]) bits up front, so the
      per-bit loop carries no observation lookup or branch. *)
   let bi_of_pattern = Array.make (max 1 (Datalog.npatterns dlog)) 0 in
@@ -230,9 +220,8 @@ let build_session session dlog =
      row serves the whole class.  Candidates stay individually listed —
      selection, pairing and reporting see the full pool — but their
      accessors indirect through [row_of], and only one member per class
-     is simulated.  Rows are keyed by the class representative so the
-     signature cache shares entries with the baselines, which iterate
-     representatives. *)
+     is simulated.  Rows are keyed by the class representative, the key
+     the session's arena is built on. *)
   let row_of = Array.make (max 1 ncand) 0 in
   let nrows, row_member, row_key =
     if not prune then begin
@@ -269,38 +258,22 @@ let build_session session dlog =
   let matched = Array.make (max 1 (nrows * nfp)) 0 in
   let spurious = Array.make (max 1 (nrows * nfp)) 0 in
   let mispredict_pass = Array.make (max 1 nrows) 0 in
-  (* Cache probe, sequential on the calling domain (deterministic hit
-     pattern and eviction order within one build).  Rows found warm are
-     replayed after the parallel region; only the misses simulate.
-     Frozen rows are only flagged here — the replay streams them out of
-     the packed arena ([Sig_cache.iter_frozen]) without materialising
-     an array per row; mutable-tier rows keep the shared boxed array so
-     a FIFO eviction between probe and replay cannot lose them. *)
-  let hit = Array.make (max 1 nrows) Sig_cache.Cold in
-  let miss = ref [] in
-  let nmiss = ref 0 in
-  (match scache with
-  | None ->
-    for r = nrows - 1 downto 0 do
-      miss := r :: !miss;
-      incr nmiss
-    done
-  | Some sc ->
-    for r = nrows - 1 downto 0 do
-      match Sig_cache.probe sc row_key.(r) with
-      | Sig_cache.Cold ->
-        miss := r :: !miss;
-        incr nmiss
-      | (Sig_cache.Frozen | Sig_cache.Warm _) as h -> hit.(r) <- h
-    done);
-  let miss = Array.of_list !miss in
+  (* Arena probe, sequential on the calling domain.  Rows the session's
+     arena holds are replayed, streamed out of the packed slab
+     ([Sig_cache.iter_frozen]) without materialising an array per row;
+     only the rest are simulated. *)
+  let hits = ref [] and miss = ref [] in
+  for r = nrows - 1 downto 0 do
+    if Session.cached session row_key.(r) then hits := r :: !hits else miss := r :: !miss
+  done;
+  let hits = Array.of_list !hits and miss = Array.of_list !miss in
   let reach = Session.reach session in
-  (* Cost-weighted chunking over the *miss* rows: a row's simulation
-     cost scales with its fanout cone, proxied by reachable-PO count
-     times remaining depth.  Uniform index ranges pack all the cheap
-     near-output seeds into the last chunk and stall the other domains;
-     and when the cache leaves only a light residue, the minimum chunk
-     weight collapses the plan so a handful of misses never pays domain
+  (* Cost-weighted chunking over rows: a row's cost — simulated or
+     replayed — scales with its fanout cone, proxied by reachable-PO
+     count times remaining depth.  Uniform index ranges pack all the
+     cheap near-output seeds into the last chunk and stall the other
+     domains; and when only a light residue is left, the minimum chunk
+     weight collapses the plan so a handful of rows never pays domain
      spawns. *)
   let depth = Netlist.depth net in
   let levels = Netlist.level_array net in
@@ -308,260 +281,127 @@ let build_session session dlog =
     let f = candidates.(row_member.(r)) in
     (1 + Po_reach.num_reachable reach f.Fault_list.site) * (1 + depth - levels.(f.Fault_list.site))
   in
-  let weights = Array.map weight_of miss in
-  let min_chunk_weight =
-    if !nmiss = 0 then 0
-    else 16 * (Array.fold_left ( + ) 0 weights / !nmiss)
+  let plan ?max_chunk_size rows =
+    let weights = Array.map weight_of rows in
+    let n = Array.length rows in
+    let min_chunk_weight = if n = 0 then 0 else 16 * (Array.fold_left ( + ) 0 weights / n) in
+    Parallel.weighted_chunks ?domains ~min_chunk_weight ?max_chunk_size ~weights ()
   in
   (* Candidate-partitioned fault simulation: chunks write only their
      own rows of the accumulators, so domains share nothing mutable and
      the result is bit-identical for every domain count.  Scratch —
-     [Fault_sim.t], the PPSFP batch slabs, the triple buffers — is
-     allocated on the calling domain *before* the parallel region and
-     keyed on the {e drain slot} (one per participating domain), not on
-     the chunk: the batch's transposed delta slab is O(nets x blocks)
-     and a per-chunk copy would not scale to the 50k tiers.  Chunk
-     bodies therefore key result writes on the row/miss index only.
+     [Fault_sim.t] and the PPSFP batch slabs — is allocated on the
+     calling domain *before* the parallel region and keyed on the
+     {e drain slot} (one per participating domain), not on the chunk:
+     the batch's transposed delta slab is O(nets x blocks) and a
+     per-chunk copy would not scale to the 50k tiers.
 
-     With batching on (the default) a chunk is a (fault-batch x
-     block-set) tile: [Fault_sim.simulate_batch] sweeps each fault's
-     cone once carrying a delta word per block, emitting every fault's
-     triples in the canonical per-block order — byte-compatible with
-     the scalar path and with every [Sig_cache] entry.  The tile cap
-     bounds the fault axis so per-batch working sets stay cache-sized
-     (and so single-domain runs still tile). *)
+     A chunk is a (fault-batch x block-set) tile:
+     [Fault_sim.simulate_batch] sweeps each fault's cone once carrying
+     a delta word per block, emitting every fault's triples in the
+     canonical per-block order — the order the arena stores.  The tile
+     cap bounds the fault axis so per-batch working sets stay
+     cache-sized (and so single-domain runs still tile). *)
   let batch_tile = 512 in
-  let plan =
-    if use_batch then
-      Parallel.weighted_chunks ?domains ~min_chunk_weight ~max_chunk_size:batch_tile
-        ~weights ()
-    else Parallel.weighted_chunks ?domains ~min_chunk_weight ~weights ()
-  in
-  let nslots = Parallel.plan_slots ?domains plan in
+  let sim_plan = plan ~max_chunk_size:batch_tile miss in
+  let nslots = Parallel.plan_slots ?domains sim_plan in
   let sims = Array.init nslots (fun _ -> Fault_sim.create ~reach net) in
   let batches =
-    if (not use_batch) || nslots = 0 then [||]
+    if nslots = 0 then [||]
     else begin
       let b0 = Fault_sim.prepare_batch sims.(0) ~blocks ~goods in
       Array.init nslots (fun i ->
           if i = 0 then b0 else Fault_sim.prepare_batch ~share:b0 sims.(i) ~blocks ~goods)
     end
   in
-  let tbufs =
-    match scache with
-    | None -> [||]
-    | Some _ -> Array.init nslots (fun _ -> { buf = Array.make 4096 0; len = 0 })
+  (* One row's triple stream into the matrices, shared by the simulated
+     and the replayed rows: the per-triple callbacks below keep the OR
+     of each block's diff words in the cursor for the pass-misprediction
+     count ([flush]ed at each block change) and hand the failing-pattern
+     bits to [scatter], which splits them matched/spurious by [obsmask]
+     so each bit is a lookup and an increment. *)
+  let flush cur =
+    if cur.bi >= 0 then begin
+      let pass_pred =
+        cur.any land lnot fail_masks.(cur.bi)
+        land Logic.mask_of_width blocks.(cur.bi).Pattern.width
+      in
+      mispredict_pass.(cur.row) <- mispredict_pass.(cur.row) + Logic.popcount pass_pred
+    end;
+    cur.bi <- -1;
+    cur.any <- 0
   in
-  (* Per-miss triple extents into the owning slot's buffer; disjoint
-     writes keyed on the miss index (the slot is recorded per miss so
-     the sequential store below finds the right buffer). *)
-  let row_start = Array.make (max 1 !nmiss) 0 in
-  let row_len = Array.make (max 1 !nmiss) 0 in
-  let row_buf = Array.make (max 1 !nmiss) 0 in
-  let record = scache <> None in
+  let start_row cur r =
+    flush cur;
+    cur.row <- r
+  in
+  let scatter r bi oi wf =
+    let base = blocks.(bi).Pattern.base in
+    let rc = covers.(r) and ro = r * nfp in
+    let om = obsmask.((bi * npos) + oi) in
+    let wm = ref (wf land om) in
+    while !wm <> 0 do
+      let k = Bitvec.ctz_word !wm in
+      wm := !wm land (!wm - 1);
+      let fp = fp_of_pattern.(base + k) in
+      Bitvec.set rc obs_of.((fp * npos) + oi) true;
+      matched.(ro + fp) <- matched.(ro + fp) + 1
+    done;
+    let ws = ref (wf land lnot om) in
+    while !ws <> 0 do
+      let k = Bitvec.ctz_word !ws in
+      ws := !ws land (!ws - 1);
+      let fp = fp_of_pattern.(base + k) in
+      spurious.(ro + fp) <- spurious.(ro + fp) + 1
+    done
+  in
   Obs.span_end sp_prep;
   let sp_sim = Obs.span_begin "explain.sim" in
-  Parallel.run_plan_slotted ?domains plan (fun ~slot _ci lo hi ->
-      let sim = sims.(slot) in
-      let tbuf = if record then tbufs.(slot) else { buf = [||]; len = 0 } in
-      let cur_base = ref 0 in
-      let cur_bi = ref (-1) in
-      let cur_oi = ref 0 in
-      let any = ref 0 in
-      let cur_covers = ref covers.(miss.(lo)) in
-      let cur_ro = ref (miss.(lo) * nfp) in
-      let on_bit k =
-        let fp = fp_of_pattern.(!cur_base + k) in
-        if fp >= 0 then
-          if obs_of.((fp * npos) + !cur_oi) >= 0 then begin
-            Bitvec.set !cur_covers obs_of.((fp * npos) + !cur_oi) true;
-            matched.(!cur_ro + fp) <- matched.(!cur_ro + fp) + 1
-          end
-          else spurious.(!cur_ro + fp) <- spurious.(!cur_ro + fp) + 1
-      in
-      if not use_batch then begin
-        (* Per-fault scalar fallback ([config.batch] off, the [--no-batch] A/B): one
-           cone walk per (fault, block), as before the PPSFP pass. *)
-        let on_po oi d =
-          any := !any lor d;
-          cur_oi := oi;
-          if record then begin
-            tbuf_push tbuf !cur_bi;
-            tbuf_push tbuf oi;
-            tbuf_push tbuf d
+  Parallel.run_plan_slotted ?domains sim_plan (fun ~slot _ci lo hi ->
+      (* Triples arrive fault-major then block-major, so row and block
+         boundaries are detected on the fly.  Rows whose every block
+         screens produce no triples and keep their zero rows. *)
+      let cur = new_cursor () in
+      Fault_sim.simulate_batch batches.(slot) ~n:(hi - lo)
+        ~fault:(fun j ->
+          let f = candidates.(row_member.(miss.(lo + j))) in
+          (f.Fault_list.site, f.Fault_list.stuck))
+        (fun j bi oi w ->
+          let r = miss.(lo + j) in
+          if r <> cur.row then start_row cur r;
+          if bi <> cur.bi then begin
+            flush cur;
+            cur.bi <- bi
           end;
-          (* [on_bit] ignores passing-pattern bits (fp < 0), so only the
-             failing-pattern slice needs walking; [any] above keeps the
-             full word for the pass-misprediction count. *)
-          Logic.iter_bits (d land fail_masks.(!cur_bi)) on_bit
-        in
-        for mi = lo to hi - 1 do
-          let r = miss.(mi) in
-          let f = candidates.(row_member.(r)) in
-          cur_covers := covers.(r);
-          cur_ro := r * nfp;
-          row_start.(mi) <- tbuf.len;
-          row_buf.(mi) <- slot;
-          for bi = 0 to nblocks - 1 do
-            let block = blocks.(bi) in
-            cur_base := block.base;
-            cur_bi := bi;
-            any := 0;
-            Fault_sim.iter_po_diffs sim ~good:goods.(bi) ~width:block.width
-              ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck on_po;
-            (* Passing patterns where the candidate predicts any
-               failure. *)
-            let pass_pred =
-              !any land lnot fail_masks.(bi) land Logic.mask_of_width block.width
-            in
-            mispredict_pass.(r) <- mispredict_pass.(r) + Logic.popcount pass_pred
-          done;
-          row_len.(mi) <- tbuf.len - row_start.(mi)
-        done
-      end
-      else begin
-        (* Batched tile: one [simulate_batch] call sweeps every fault
-           of the chunk over all blocks; triples arrive fault-major
-           then block-major, so row and block boundaries are detected
-           on the fly.  Rows whose every block screens produce no
-           triples and keep their zero-length extent. *)
-        let b = batches.(slot) in
-        let cur_mi = ref (-1) in
-        let cur_r = ref 0 in
-        let flush_block () =
-          if !cur_bi >= 0 then begin
-            let pass_pred =
-              !any
-              land lnot fail_masks.(!cur_bi)
-              land Logic.mask_of_width blocks.(!cur_bi).Pattern.width
-            in
-            mispredict_pass.(!cur_r) <- mispredict_pass.(!cur_r) + Logic.popcount pass_pred
-          end;
-          any := 0;
-          cur_bi := -1
-        in
-        let close_row () =
-          if !cur_mi >= 0 then begin
-            flush_block ();
-            row_len.(!cur_mi) <- tbuf.len - row_start.(!cur_mi)
-          end;
-          cur_mi := -1
-        in
-        Fault_sim.simulate_batch b ~n:(hi - lo)
-          ~fault:(fun j ->
-            let f = candidates.(row_member.(miss.(lo + j))) in
-            (f.Fault_list.site, f.Fault_list.stuck))
-          (fun j bi oi w ->
-            let mi = lo + j in
-            if mi <> !cur_mi then begin
-              close_row ();
-              let r = miss.(mi) in
-              cur_mi := mi;
-              cur_r := r;
-              row_start.(mi) <- tbuf.len;
-              row_buf.(mi) <- slot;
-              cur_covers := covers.(r);
-              cur_ro := r * nfp
-            end;
-            if bi <> !cur_bi then begin
-              flush_block ();
-              cur_bi := bi;
-              cur_base := blocks.(bi).Pattern.base
-            end;
-            any := !any lor w;
-            if record then begin
-              tbuf_push tbuf bi;
-              tbuf_push tbuf oi;
-              tbuf_push tbuf w
-            end;
-            (* Failing-pattern bits only ([on_bit] would ignore the
-               rest), split matched/spurious by [obsmask] so each bit is
-               a lookup and an increment, nothing more. *)
-            let wf = w land fail_masks.(bi) in
-            let om = obsmask.((bi * npos) + oi) in
-            let wm = ref (wf land om) in
-            while !wm <> 0 do
-              let k = Bitvec.ctz_word !wm in
-              wm := !wm land (!wm - 1);
-              let fp = fp_of_pattern.(!cur_base + k) in
-              Bitvec.set !cur_covers obs_of.((fp * npos) + oi) true;
-              matched.(!cur_ro + fp) <- matched.(!cur_ro + fp) + 1
-            done;
-            let ws = ref (wf land lnot om) in
-            while !ws <> 0 do
-              let k = Bitvec.ctz_word !ws in
-              ws := !ws land (!ws - 1);
-              let fp = fp_of_pattern.(!cur_base + k) in
-              spurious.(!cur_ro + fp) <- spurious.(!cur_ro + fp) + 1
-            done);
-        close_row ()
-      end);
+          cur.any <- cur.any lor w;
+          let wf = w land fail_masks.(bi) in
+          if wf <> 0 then scatter r bi oi wf);
+      flush cur);
   Obs.span_end sp_sim;
-  (* Store the fresh signatures (sequential: one deterministic insertion
-     order per build), then replay the warm rows into the matrices. *)
   let sp_replay = Obs.span_begin "explain.replay" in
-  (match scache with
+  (match Session.cache session with
   | None -> ()
-  | Some sc ->
-    for mi = 0 to !nmiss - 1 do
-      Sig_cache.store sc row_key.(miss.(mi))
-        (Array.sub tbufs.(row_buf.(mi)).buf row_start.(mi) row_len.(mi))
-    done;
-    for r = 0 to nrows - 1 do
-      match hit.(r) with
-      | Sig_cache.Cold -> ()
-      | (Sig_cache.Frozen | Sig_cache.Warm _) as h ->
-        let rc = covers.(r) in
-        let ro = r * nfp in
-        let prev_bi = ref (-1) in
-        let any = ref 0 in
-        let flush () =
-          if !prev_bi >= 0 then begin
-            let block = blocks.(!prev_bi) in
-            let pass_pred =
-              !any land lnot fail_masks.(!prev_bi) land Logic.mask_of_width block.width
-            in
-            mispredict_pass.(r) <- mispredict_pass.(r) + Logic.popcount pass_pred
+  | Some arena ->
+    (* Same disjoint-row discipline as the simulated rows. *)
+    Parallel.run_plan ?domains (plan hits) (fun _ci lo hi ->
+        let cur = new_cursor () in
+        (* Written out like the simulation callback: a call per triple
+           costs the hot loop measurably. *)
+        let on_triple bi oi w =
+          if bi <> cur.bi then begin
+            flush cur;
+            cur.bi <- bi
           end;
-          any := 0
+          cur.any <- cur.any lor w;
+          let wf = w land fail_masks.(bi) in
+          if wf <> 0 then scatter cur.row bi oi wf
         in
-        let visit bi oi d =
-          if bi <> !prev_bi then begin
-            flush ();
-            prev_bi := bi
-          end;
-          any := !any lor d;
-          let base = blocks.(bi).Pattern.base in
-          let wf = d land fail_masks.(bi) in
-          let om = obsmask.((bi * npos) + oi) in
-          let wm = ref (wf land om) in
-          while !wm <> 0 do
-            let k = Bitvec.ctz_word !wm in
-            wm := !wm land (!wm - 1);
-            let fp = fp_of_pattern.(base + k) in
-            Bitvec.set rc obs_of.((fp * npos) + oi) true;
-            matched.(ro + fp) <- matched.(ro + fp) + 1
-          done;
-          let ws = ref (wf land lnot om) in
-          while !ws <> 0 do
-            let k = Bitvec.ctz_word !ws in
-            ws := !ws land (!ws - 1);
-            let fp = fp_of_pattern.(base + k) in
-            spurious.(ro + fp) <- spurious.(ro + fp) + 1
-          done
-        in
-        (match h with
-        | Sig_cache.Warm triples ->
-          let i = ref 0 in
-          let n = Array.length triples in
-          while !i < n do
-            visit triples.(!i) triples.(!i + 1) triples.(!i + 2);
-            i := !i + 3
-          done
-        | Sig_cache.Frozen -> Sig_cache.iter_frozen sc row_key.(r) visit
-        | Sig_cache.Cold -> ());
-        flush ()
-    done);
+        for i = lo to hi - 1 do
+          let r = hits.(i) in
+          start_row cur r;
+          Sig_cache.iter_frozen arena row_key.(r) on_triple;
+          flush cur
+        done));
   Obs.span_end sp_replay;
   if Obs.enabled () then begin
     Obs.incr c_builds;
@@ -600,24 +440,14 @@ let build_session session dlog =
     nfail_pos;
   }
 
-(* One-shot entry: wrap the problem in a transient session.  Costs what
-   the pre-session build cost (goods via the shared cache registry or a
-   private resimulation, a fresh PO-reach computation) — long-running
-   callers create a [Session.t] once and use [build_session]. *)
-let build ?domains ?prune ?cache ?batch net pats dlog =
+(* One-shot entry: wrap the problem in a transient session without an
+   arena.  Pays session construction (goods, PO reach) per call —
+   long-running callers create a [Session.t] once and use
+   [build_session]. *)
+let build ?domains ?prune net pats dlog =
   let d = Session.default_config in
   let config =
-    {
-      Session.prune = Option.value prune ~default:d.Session.prune;
-      cache = Option.value cache ~default:d.Session.cache;
-      batch = Option.value batch ~default:d.Session.batch;
-      domains;
-      cache_mb = d.Session.cache_mb;
-      prewarm = false;
-      cover = d.Session.cover;
-      cover_budget = d.Session.cover_budget;
-      store_dir = d.Session.store_dir;
-    }
+    { d with Session.prune = Option.value prune ~default:d.Session.prune; domains }
   in
   build_session (Session.create ~config net pats) dlog
 

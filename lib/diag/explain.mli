@@ -18,12 +18,13 @@
 
 type t
 
-val build_session : Session.t -> Datalog.t -> t
+val build_session : ?domains:int -> Session.t -> Datalog.t -> t
 (** One pass of seeding + pruning + simulation against a prebuilt
-    {!Session.t}, partitioned by candidate range over the session's
-    domain count ({!Parallel}'s default when unset).  The matrix is
-    bit-identical for every domain count and for every
-    prune/cache/batch combination of the session config.
+    {!Session.t}, partitioned by candidate range over [domains] (the
+    session's [config.domains] when omitted; {!Parallel}'s default when
+    both are unset).  The matrix is bit-identical for every domain
+    count, with pruning on or off, and whether or not the session holds
+    a signature arena.
 
     With [config.prune] two exactness-preserving prunes shrink the
     simulated pool before any fault simulation runs: the {e activation
@@ -36,29 +37,25 @@ val build_session : Session.t -> Datalog.t -> t
     class members remain individually listed and indirect to the shared
     row.  Neither prune can change a diagnosis (DESIGN.md §10).
 
-    When the session holds a cache instance, per-row signatures are
-    probed in, and on miss recorded into, the cross-phase
-    [Sig_cache] — warm rows replay without simulation, and only the
-    misses enter the fork-join plan (batched through
-    {!Fault_sim.simulate_batch} tiles under [config.batch]). *)
+    Rows the session's arena holds ({!Session.cached}) replay from it
+    without simulation; the rest enter the fork-join plan as
+    {!Fault_sim.simulate_batch} tiles. *)
 
 val build :
   ?domains:int ->
   ?prune:bool ->
-  ?cache:bool ->
-  ?batch:bool ->
   Netlist.t ->
   Pattern.t ->
   Datalog.t ->
   t
 (** One-shot convenience over {!build_session}: wraps the problem in a
-    transient session whose config is {!Session.default_config} with
-    the given overrides.  Equivalent output; pays session construction
-    (goods, PO reach) per call. *)
+    transient session without an arena, whose config is
+    {!Session.default_config} with the given overrides.  Equivalent
+    output; pays session construction (goods, PO reach) per call. *)
 
 val session : t -> Session.t
 (** The session the matrix was built against — downstream phases pull
-    the shared goods, cache and config from here. *)
+    the shared goods and config from here. *)
 
 val netlist : t -> Netlist.t
 val datalog : t -> Datalog.t

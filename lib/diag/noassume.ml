@@ -170,13 +170,9 @@ let refine config m pats chosen covers =
   let dlog = Explain.datalog m in
   let session = Explain.session m in
   let goods = Session.goods session in
-  let batch = (Session.config session).Session.batch in
   let cand = Explain.candidates m in
   let faults_of ids = List.map (fun c -> cand.(c)) ids in
-  let score_of ids =
-    Scoring.evaluate_multiplet ?domains:config.domains ~goods ~batch net pats dlog
-      (faults_of ids)
-  in
+  let score_of ids = Scoring.evaluate_multiplet ~goods net pats dlog (faults_of ids) in
   let steps = ref 0 in
   let current = ref chosen in
   (* O(1) membership mirror of [current]; the swap pass probes every
@@ -349,40 +345,22 @@ let infer_aggressors config m cache site members covers =
         done)
       blocks_arr;
     let total_obs = !total_obs in
-    (* Penalty of the dominant-bridge hypothesis "site follows a".  With
-       batching on, one PPSFP sweep carries all blocks; the per-block
-       event-driven fallback keeps the [--no-batch] A/B honest.  An
-       observed failure the hypothesis does not reproduce is a miss
-       whether or not the output differs at all, so the miss count is
-       the observation total minus the explained bits. *)
-    let use_batch = (Session.config (Explain.session m)).Session.batch in
-    let batch =
-      if use_batch then
-        Some (Fault_sim.prepare_batch sim ~blocks:blocks_arr ~goods:words_arr)
-      else None
-    in
+    (* Penalty of the dominant-bridge hypothesis "site follows a": one
+       PPSFP sweep carries all blocks.  An observed failure the
+       hypothesis does not reproduce is a miss whether or not the output
+       differs at all, so the miss count is the observation total minus
+       the explained bits. *)
+    let batch = Fault_sim.prepare_batch sim ~blocks:blocks_arr ~goods:words_arr in
     let deltas = Array.make (max 1 nblocks) 0 in
     let screen a =
       let explained = ref 0 and spurious = ref 0 in
-      (match batch with
-      | Some b ->
-        for bi = 0 to nblocks - 1 do
-          deltas.(bi) <- words_arr.(bi).(site) lxor words_arr.(bi).(a)
-        done;
-        Fault_sim.batch_po_diffs_delta b ~site ~deltas (fun bi oi w ->
-            let obs = observed_flat.((bi * npos) + oi) in
-            explained := !explained + Logic.popcount (w land obs);
-            spurious := !spurious + Logic.popcount (w land lnot obs))
-      | None ->
-        for bi = 0 to nblocks - 1 do
-          let block = blocks_arr.(bi) and words = words_arr.(bi) in
-          let delta = words.(site) lxor words.(a) in
-          Fault_sim.iter_po_diffs_delta sim ~good:words ~width:block.Pattern.width
-            ~site ~delta (fun oi d ->
-              let obs = observed_flat.((bi * npos) + oi) in
-              explained := !explained + Logic.popcount (d land obs);
-              spurious := !spurious + Logic.popcount (d land lnot obs))
-        done);
+      for bi = 0 to nblocks - 1 do
+        deltas.(bi) <- words_arr.(bi).(site) lxor words_arr.(bi).(a)
+      done;
+      Fault_sim.batch_po_diffs_delta batch ~site ~deltas (fun bi oi w ->
+          let obs = observed_flat.((bi * npos) + oi) in
+          explained := !explained + Logic.popcount (w land obs);
+          spurious := !spurious + Logic.popcount (w land lnot obs));
       (10 * (total_obs - !explained)) + !spurious
     in
     let physically_adjacent a =
@@ -580,11 +558,9 @@ let diagnose_matrix ?(config = default_config) m pats =
     if config.validate && chosen <> [] then refine config m pats chosen covers
     else
       let faults = List.map (fun c -> (Explain.candidates m).(c)) chosen in
-      let session = Explain.session m in
       ( chosen,
-        Scoring.evaluate_multiplet ?domains:config.domains
-          ~goods:(Session.goods session)
-          ~batch:(Session.config session).Session.batch net pats dlog faults,
+        Scoring.evaluate_multiplet ~goods:(Session.goods (Explain.session m)) net pats dlog
+          faults,
         0 )
   in
   let cand = Explain.candidates m in
@@ -612,7 +588,7 @@ let diagnose_session ?config session dlog =
     | Some c -> c
     | None -> { default_config with domains = (Session.config session).Session.domains }
   in
-  let m = Explain.build_session session dlog in
+  let m = Explain.build_session ?domains:config.domains session dlog in
   diagnose_matrix ~config m (Session.patterns session)
 
 let diagnose ?(config = default_config) net pats dlog =

@@ -76,8 +76,9 @@ type result = {
 }
 
 val diagnose_session : ?config:config -> Session.t -> Datalog.t -> result
-(** Full pipeline against a prebuilt (warm) session.  When [config] is
-    omitted, {!default_config} with the session's domain count is used.
+(** Full pipeline against a prebuilt (warm) session; [config.domains]
+    fans out the matrix build too.  When [config] is omitted,
+    {!default_config} with the session's domain count is used.
     This is the volume-service entry point: one shared session, many
     datalogs. *)
 

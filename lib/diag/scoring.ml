@@ -206,40 +206,37 @@ let prep_dlog sc dlog npos =
     sc.s_totobs <- !tot;
     sc.s_dlog <- Some dlog
 
-let evaluate_multiplet ?domains ?goods ?(batch = true) net pats dlog faults =
-  if not batch then evaluate ?domains ?goods net pats dlog (overlay_of_multiplet faults)
-  else begin
-    let sc = get_scratch ?goods net pats in
-    let npos = Datalog.npos dlog in
-    prep_dlog sc dlog npos;
-    if Obs.enabled () then begin
-      Obs.incr c_evaluations;
-      Obs.add c_blocks_scored (Array.length sc.s_blocks)
-    end;
-    let explained = ref 0 and spurious_fail = ref 0 and spurious_pass = ref 0 in
-    let s_obs = sc.s_obs and s_fail = sc.s_fail in
-    Fault_sim.batch_multiplet_diffs sc.s_batch
-      ~faults:(List.map (fun f -> (f.Fault_list.site, f.Fault_list.stuck)) faults)
-      (fun bi oi w ->
-        (* [w] is already masked to the block's live width. *)
-        let obs = s_obs.((bi * npos) + oi) in
-        let fm = s_fail.(bi) in
-        explained := !explained + Logic.popcount (w land obs);
-        spurious_fail := !spurious_fail + Logic.popcount (w land lnot obs land fm);
-        (* Observed bits only occur on failing patterns, so
-           [w land lnot fm] is exactly predicted-and-not-observed on
-           passing patterns. *)
-        spurious_pass := !spurious_pass + Logic.popcount (w land lnot fm));
-    Fault_sim.publish_stats (Fault_sim.batch_sim sc.s_batch);
-    (* Unemitted (block, PO) words predict nothing, so every observation
-       they carry is missed: total minus explained needs no scan. *)
-    {
-      explained = !explained;
-      missed = sc.s_totobs - !explained;
-      spurious_fail = !spurious_fail;
-      spurious_pass = !spurious_pass;
-    }
-  end
+let evaluate_multiplet ?goods net pats dlog faults =
+  let sc = get_scratch ?goods net pats in
+  let npos = Datalog.npos dlog in
+  prep_dlog sc dlog npos;
+  if Obs.enabled () then begin
+    Obs.incr c_evaluations;
+    Obs.add c_blocks_scored (Array.length sc.s_blocks)
+  end;
+  let explained = ref 0 and spurious_fail = ref 0 and spurious_pass = ref 0 in
+  let s_obs = sc.s_obs and s_fail = sc.s_fail in
+  Fault_sim.batch_multiplet_diffs sc.s_batch
+    ~faults:(List.map (fun f -> (f.Fault_list.site, f.Fault_list.stuck)) faults)
+    (fun bi oi w ->
+      (* [w] is already masked to the block's live width. *)
+      let obs = s_obs.((bi * npos) + oi) in
+      let fm = s_fail.(bi) in
+      explained := !explained + Logic.popcount (w land obs);
+      spurious_fail := !spurious_fail + Logic.popcount (w land lnot obs land fm);
+      (* Observed bits only occur on failing patterns, so
+         [w land lnot fm] is exactly predicted-and-not-observed on
+         passing patterns. *)
+      spurious_pass := !spurious_pass + Logic.popcount (w land lnot fm));
+  Fault_sim.publish_stats (Fault_sim.batch_sim sc.s_batch);
+  (* Unemitted (block, PO) words predict nothing, so every observation
+     they carry is missed: total minus explained needs no scan. *)
+  {
+    explained = !explained;
+    missed = sc.s_totobs - !explained;
+    spurious_fail = !spurious_fail;
+    spurious_pass = !spurious_pass;
+  }
 
 let pp ppf s =
   Format.fprintf ppf "explained %d, missed %d, spurious %d+%d (penalty %d)" s.explained

@@ -55,18 +55,15 @@ val overlay_of_multiplet : Fault_list.fault list -> Logic_sim.override list
     other and the multiplet could never explain both directions. *)
 
 val evaluate_multiplet :
-  ?domains:int ->
   ?goods:Logic_sim.net_values array ->
-  ?batch:bool ->
   Netlist.t ->
   Pattern.t ->
   Datalog.t ->
   Fault_list.fault list ->
   score
-(** [evaluate] of {!overlay_of_multiplet}.  With [batch] (the default)
-    the multiplet is scored by one PPSFP delta-propagation sweep
-    ({!Fault_sim.batch_multiplet_diffs}) instead of a full overlay
-    resimulation — identical score by construction; [~batch:false] is
-    the same-binary A/B the benches use. *)
+(** [evaluate] of {!overlay_of_multiplet}, computed by one PPSFP
+    delta-propagation sweep ({!Fault_sim.batch_multiplet_diffs}) instead
+    of a full overlay resimulation — identical score by construction
+    (the kernel oracle checks it against [evaluate]). *)
 
 val pp : Format.formatter -> score -> unit

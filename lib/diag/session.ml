@@ -1,16 +1,14 @@
 (* The session: one warm engine context per (netlist, pattern set)
    problem, threaded through every diagnosis phase.
 
-   Before this module existed, the prune/cache/batch choices lived in
-   process-global [Atomic] switches and each phase re-derived the shared
-   read-only state (good-machine words, PO reachability) on its own.
-   That shape cannot serve volume diagnosis — thousands of datalogs
-   against one design, one diagnosis per domain — where the per-problem
-   state must be computed once and shared, and two concurrent diagnoses
-   must be able to run under different configurations without racing on
-   globals.  A [t] is created once, is immutable, and is safe to share
-   across domains: every field is either frozen after [create] or
-   internally synchronised ([Sig_cache]). *)
+   A [t] is built once by [create] and never changes afterwards, so it
+   is safe to share across domains: the netlist, the test set, the
+   good-machine words, the PO-reachability screen and — when the config
+   asks for it — the signature arena are all frozen at construction.
+   Volume diagnosis (thousands of datalogs against one design, one
+   diagnosis per domain) computes the per-problem state once here, and
+   two concurrent diagnoses can run under different configurations
+   without touching shared mutable state. *)
 
 type cover = Greedy | Exact
 
@@ -23,11 +21,8 @@ let default_cover_budget = 2_000_000
 
 type config = {
   prune : bool;  (* activation screen + class collapse in [Explain] *)
-  cache : bool;  (* cross-phase signature cache *)
-  batch : bool;  (* PPSFP batched fault simulation *)
   domains : int option;  (* kernel fan-out; [None] = Parallel default *)
-  cache_mb : int;  (* per-instance [Sig_cache] budget *)
-  prewarm : bool;  (* whole-pool sweep + [Sig_cache.freeze] at create *)
+  prewarm : bool;  (* build the signature arena at create *)
   cover : cover;  (* covering backend: greedy (paper) or exact (minimal) *)
   cover_budget : int;  (* exact backend's hitting-set node budget *)
   store_dir : string option;  (* snapshot dir: load instead of sweeping, save after *)
@@ -36,10 +31,7 @@ type config = {
 let default_config =
   {
     prune = true;
-    cache = true;
-    batch = true;
     domains = None;
-    cache_mb = Sig_cache.default_budget_mb;
     prewarm = false;
     cover = Greedy;
     cover_budget = default_cover_budget;
@@ -53,23 +45,10 @@ type t = {
   goods : Logic_sim.net_values array;
   reach : Po_reach.t;
   cache : Sig_cache.t option;
+  save_failed : bool;  (* swept an arena that could not be saved to [store_dir] *)
   sink : Obs.sink option;
   config : config;
 }
-
-let make ?(config = default_config) ?sink net pats =
-  let cache =
-    if config.cache then Some (Sig_cache.for_problem ~budget_mb:config.cache_mb net pats)
-    else None
-  in
-  let blocks, goods =
-    match cache with
-    | Some c -> (Sig_cache.blocks c, Sig_cache.goods c)
-    | None ->
-      let blocks = Array.of_list (Pattern.blocks pats) in
-      (blocks, Array.map (fun b -> Logic_sim.simulate_block net b) blocks)
-  in
-  { net; pats; blocks; goods; reach = Po_reach.compute net; cache; sink; config }
 
 let netlist t = t.net
 let patterns t = t.pats
@@ -77,24 +56,30 @@ let blocks t = t.blocks
 let goods t = t.goods
 let reach t = t.reach
 let cache t = t.cache
+let save_failed t = t.save_failed
 let sink t = t.sink
 let config t = t.config
 
 let with_sink t f = match t.sink with None -> f () | Some sk -> Obs.with_sink sk f
 
-(* --- Batched signature retrieval ------------------------------------ *)
+(* Probe accounting lives here, not in [Sig_cache]: a session without an
+   arena still has to report the signatures it simulated on demand. *)
+let c_frozen_hits = Obs.counter "cache.frozen_hits"
+let c_misses = Obs.counter "cache.misses"
 
-(* Per-fault signature triples for a whole fault list: probe the cache,
-   then fill every miss through [Fault_sim.simulate_batch] slabs instead
-   of one scalar cone walk per (fault, block).  This is the cold-path
-   fix for the baselines ([Single_diag], [Dict_diag]) and anything else
-   that wants many signatures at once — on a cold 50k-gate problem the
-   per-fault path was the residual hot spot.  Triples arrive in the
-   canonical scalar order, so cache entries stay byte-compatible with
-   both paths. *)
+let cached t k =
+  match t.cache with
+  | Some a when Sig_cache.mem a k ->
+    if Obs.enabled () then Obs.incr c_frozen_hits;
+    true
+  | Some _ | None ->
+    if Obs.enabled () then Obs.incr c_misses;
+    false
 
-(* Tile cap on the fault axis, matching [Explain.build]: bounds the
-   per-batch working set so slabs stay cache-sized. *)
+(* --- Batched signature simulation ------------------------------------ *)
+
+(* Tile cap on the fault axis, matching [Explain]: bounds the per-batch
+   working set so slabs stay cache-sized. *)
 let batch_tile = 512
 
 type tbuf = { mutable buf : int array; mutable len : int }
@@ -108,45 +93,44 @@ let tbuf_push b v =
   b.buf.(b.len) <- v;
   b.len <- b.len + 1
 
-let fault_triples t (faults : Fault_list.fault array) =
+(* Signature triples of every fault in one fork-join PPSFP sweep over
+   [Fault_sim.prepare_batch] slabs: a shared good slab, per-slot delta
+   slabs, [batch_tile]-fault tiles.  Results are written per fault index
+   (chunks are contiguous, writes disjoint) and heavy scratch
+   (simulator, delta slabs, triple buffers) is per drain slot, so the
+   output is identical for any domain count.  Triples arrive in the
+   canonical scalar order of [Fault_sim.iter_po_diffs]. *)
+let simulate t (faults : Fault_list.fault array) =
   let n = Array.length faults in
   let out = Array.make n [||] in
-  let hit = Array.make n false in
-  (match t.cache with
-  | None -> ()
-  | Some c ->
-    for i = 0 to n - 1 do
-      let f = faults.(i) in
-      match Sig_cache.find c (Sig_cache.key ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck) with
-      | Some triples ->
-        out.(i) <- triples;
-        hit.(i) <- true
-      | None -> ()
-    done);
-  let miss = ref [] in
-  for i = n - 1 downto 0 do
-    if not hit.(i) then miss := i :: !miss
-  done;
-  let miss = Array.of_list !miss in
-  let nmiss = Array.length miss in
-  if nmiss > 0 then begin
-    let sim = Fault_sim.create ~reach:t.reach t.net in
-    if t.config.batch then begin
-      let b = Fault_sim.prepare_batch sim ~blocks:t.blocks ~goods:t.goods in
-      let tb = { buf = Array.make 4096 0; len = 0 } in
-      let starts = Array.make nmiss 0 in
-      let lo = ref 0 in
-      while !lo < nmiss do
-        let hi = min nmiss (!lo + batch_tile) in
-        let base = !lo in
+  if n > 0 then begin
+    let domains = t.config.domains in
+    let plan =
+      Parallel.weighted_chunks ?domains ~min_chunk_weight:64 ~max_chunk_size:batch_tile
+        ~weights:(Array.make n 1) ()
+    in
+    let nslots = Parallel.plan_slots ?domains plan in
+    let sims = Array.init nslots (fun _ -> Fault_sim.create ~reach:t.reach t.net) in
+    let b0 = Fault_sim.prepare_batch sims.(0) ~blocks:t.blocks ~goods:t.goods in
+    let batches =
+      Array.init nslots (fun s ->
+          if s = 0 then b0
+          else Fault_sim.prepare_batch ~share:b0 sims.(s) ~blocks:t.blocks ~goods:t.goods)
+    in
+    let tbs = Array.init nslots (fun _ -> { buf = Array.make 4096 0; len = 0 }) in
+    let startss = Array.init nslots (fun _ -> Array.make batch_tile 0) in
+    Parallel.run_plan_slotted ?domains plan (fun ~slot _ci lo hi ->
+        let b = batches.(slot) and tb = tbs.(slot) and starts = startss.(slot) in
+        tb.len <- 0;
         let cur = ref (-1) in
-        let close j = if j >= 0 then out.(miss.(j)) <- Array.sub tb.buf starts.(j) (tb.len - starts.(j)) in
-        Fault_sim.simulate_batch b ~n:(hi - base)
+        let close j =
+          if j >= 0 then out.(lo + j) <- Array.sub tb.buf starts.(j) (tb.len - starts.(j))
+        in
+        Fault_sim.simulate_batch b ~n:(hi - lo)
           ~fault:(fun j ->
-            let f = faults.(miss.(base + j)) in
+            let f = faults.(lo + j) in
             (f.Fault_list.site, f.Fault_list.stuck))
           (fun j bi oi w ->
-            let j = base + j in
             if j <> !cur then begin
               close !cur;
               cur := j;
@@ -155,192 +139,34 @@ let fault_triples t (faults : Fault_list.fault array) =
             tbuf_push tb bi;
             tbuf_push tb oi;
             tbuf_push tb w);
-        close !cur;
-        lo := hi
-      done;
-      if Obs.enabled () then Fault_sim.publish_batch_stats b
+        close !cur);
+    if Obs.enabled () then begin
+      Array.iter Fault_sim.publish_batch_stats batches;
+      Array.iter Fault_sim.publish_stats sims
     end
-    else begin
-      (* Scalar fallback, the pre-batch shape: one cone walk per
-         (fault, block). *)
-      let tb = { buf = Array.make 4096 0; len = 0 } in
-      Array.iter
-        (fun i ->
-          let f = faults.(i) in
-          tb.len <- 0;
-          Array.iteri
-            (fun bi (block : Pattern.block) ->
-              Fault_sim.iter_po_diffs sim ~good:t.goods.(bi) ~width:block.Pattern.width
-                ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck (fun oi d ->
-                  tbuf_push tb bi;
-                  tbuf_push tb oi;
-                  tbuf_push tb d))
-            t.blocks;
-          out.(i) <- Array.sub tb.buf 0 tb.len)
-        miss
-    end;
-    if Obs.enabled () then Fault_sim.publish_stats sim;
-    match t.cache with
-    | None -> ()
-    | Some c ->
-      Array.iter
-        (fun i ->
-          let f = faults.(i) in
-          Sig_cache.store c
-            (Sig_cache.key ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck)
-            out.(i))
-        miss
   end;
   out
 
-(* --- Whole-pool prewarm --------------------------------------------- *)
+let fault_key (f : Fault_list.fault) =
+  Sig_cache.key ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck
 
-let c_prewarm_faults = Obs.counter "prewarm.faults"
+(* Arena hits replay; everything else is simulated in one batched sweep.
+   This is the signature source of the baselines ([Single_diag],
+   [Dict_diag]). *)
+let fault_triples t (faults : Fault_list.fault array) =
+  let n = Array.length faults in
+  let out = Array.make n [||] in
+  let miss = ref [] in
+  for i = n - 1 downto 0 do
+    let k = fault_key faults.(i) in
+    if cached t k then out.(i) <- Option.get (Sig_cache.find (Option.get t.cache) k)
+    else miss := i :: !miss
+  done;
+  let miss = Array.of_list !miss in
+  let fresh = simulate t (Array.map (fun i -> faults.(i)) miss) in
+  Array.iteri (fun j i -> out.(i) <- fresh.(j)) miss;
+  out
 
-(* One PPSFP sweep over the whole fault pool, then [Sig_cache.freeze]:
-   after this, every signature a diagnosis can ask for is answered by
-   the frozen tier — no hashing, no shard mutex — and the per-die work
-   of a volume run reduces to covering.  The pool matches the keys the
-   phases actually probe: class representatives when pruning (Explain
-   rows and both baselines key by [Fault_list.representative_of]), the
-   full [Fault_list.all] universe otherwise (raw candidate keys; the
-   representatives are a subset, so either pool covers the baselines).
-
-   Probes use [Sig_cache.peek] so the hit/miss counters keep reflecting
-   only probes a diagnosis made — the acceptance check that a frozen
-   session serves dies with [cache.hits = 0] depends on that.  Results
-   are written per fault index (chunks are contiguous, writes disjoint),
-   heavy scratch (simulator, delta slabs, triple buffers) is per slot,
-   and stores run sequentially after the join, so the cache contents —
-   and therefore every later diagnosis — are identical for any domain
-   count. *)
-let prewarm t =
-  match t.cache with
-  | None -> 0
-  | Some c when Sig_cache.is_frozen c -> 0
-  | Some c ->
-    Obs.phase "prewarm" (fun () ->
-        let pool =
-          if t.config.prune then Fault_list.representatives (Fault_list.collapse t.net)
-          else Fault_list.all t.net
-        in
-        let cold =
-          Array.of_list
-            (List.filter
-               (fun f ->
-                 Sig_cache.peek c (Sig_cache.key ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck)
-                 = None)
-               pool)
-        in
-        let n = Array.length cold in
-        let out = Array.make n [||] in
-        if n > 0 then
-          if t.config.batch then begin
-            let domains = t.config.domains in
-            let plan =
-              Parallel.weighted_chunks ?domains ~min_chunk_weight:64 ~max_chunk_size:batch_tile
-                ~weights:(Array.make n 1) ()
-            in
-            let nslots = Parallel.plan_slots ?domains plan in
-            let sims = Array.init nslots (fun _ -> Fault_sim.create ~reach:t.reach t.net) in
-            let b0 = Fault_sim.prepare_batch sims.(0) ~blocks:t.blocks ~goods:t.goods in
-            let batches =
-              Array.init nslots (fun s ->
-                  if s = 0 then b0
-                  else Fault_sim.prepare_batch ~share:b0 sims.(s) ~blocks:t.blocks ~goods:t.goods)
-            in
-            let tbs = Array.init nslots (fun _ -> { buf = Array.make 4096 0; len = 0 }) in
-            let startss = Array.init nslots (fun _ -> Array.make batch_tile 0) in
-            Parallel.run_plan_slotted ?domains plan (fun ~slot _ci lo hi ->
-                let b = batches.(slot) and tb = tbs.(slot) and starts = startss.(slot) in
-                tb.len <- 0;
-                let cur = ref (-1) in
-                let close j =
-                  if j >= 0 then out.(lo + j) <- Array.sub tb.buf starts.(j) (tb.len - starts.(j))
-                in
-                Fault_sim.simulate_batch b ~n:(hi - lo)
-                  ~fault:(fun j ->
-                    let f = cold.(lo + j) in
-                    (f.Fault_list.site, f.Fault_list.stuck))
-                  (fun j bi oi w ->
-                    if j <> !cur then begin
-                      close !cur;
-                      cur := j;
-                      starts.(j) <- tb.len
-                    end;
-                    tbuf_push tb bi;
-                    tbuf_push tb oi;
-                    tbuf_push tb w);
-                close !cur);
-            if Obs.enabled () then begin
-              Array.iter Fault_sim.publish_batch_stats batches;
-              Array.iter Fault_sim.publish_stats sims
-            end
-          end
-          else begin
-            (* Scalar fallback so the prewarm/lazy/off byte-identity
-               oracle holds under every config corner. *)
-            let sim = Fault_sim.create ~reach:t.reach t.net in
-            let tb = { buf = Array.make 4096 0; len = 0 } in
-            Array.iteri
-              (fun i f ->
-                tb.len <- 0;
-                Array.iteri
-                  (fun bi (block : Pattern.block) ->
-                    Fault_sim.iter_po_diffs sim ~good:t.goods.(bi) ~width:block.Pattern.width
-                      ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck (fun oi d ->
-                        tbuf_push tb bi;
-                        tbuf_push tb oi;
-                        tbuf_push tb d))
-                  t.blocks;
-                out.(i) <- Array.sub tb.buf 0 tb.len)
-              cold;
-            if Obs.enabled () then Fault_sim.publish_stats sim
-          end;
-        (* Hand the sweep results straight to the packer instead of
-           routing them through the mutable tier: [store] would evict
-           FIFO once the pool outgrew the word budget (rnd50k's
-           100k-fault pool would), and evicted entries can't be frozen.
-           [~extra] bypasses the budget, so the arena always holds the
-           complete pool. *)
-        let extra =
-          Array.mapi
-            (fun i f ->
-              (Sig_cache.key ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck, out.(i)))
-            cold
-        in
-        Sig_cache.freeze ~extra c;
-        if Obs.enabled () then Obs.add c_prewarm_faults n;
-        n)
-
-let create ?config ?sink net pats =
-  let t = make ?config ?sink net pats in
-  if t.config.prewarm then
-    ignore
-      (with_sink t (fun () ->
-           (* Load-or-sweep: a valid snapshot publishes the frozen tier
-              with zero simulation; anything else (no dir, no file, or a
-              rejected file — [store.rejects]) falls through to the live
-              sweep, which is then saved so the next process loads. *)
-           let loaded =
-             match (t.cache, t.config.store_dir) with
-             | Some c, Some dir -> Sig_cache.load_frozen ~dir c
-             | _ -> false
-           in
-           if loaded then 0
-           else begin
-             let n = prewarm t in
-             (match (t.cache, t.config.store_dir) with
-             | Some c, Some dir when Sig_cache.is_frozen c ->
-               ignore (Sig_cache.save_frozen ~dir c : bool)
-             | _ -> ());
-             n
-           end)
-        : int);
-  t
-
-(* Expansion mirror of [Sig_cache.signature_of_triples], usable when the
-   session runs cache-off (no instance to delegate to). *)
 let signature_of_triples t triples =
   let npos = Netlist.num_pos t.net in
   let npatterns = Pattern.count t.pats in
@@ -353,3 +179,73 @@ let signature_of_triples t triples =
     i := !i + 3
   done;
   signature
+
+(* --- Whole-pool arena -------------------------------------------------- *)
+
+let c_prewarm_faults = Obs.counter "prewarm.faults"
+let c_save_failures = Obs.counter "store.save_failures"
+
+(* The whole fault pool, matching the keys the phases probe: class
+   representatives when pruning (Explain rows and both baselines key by
+   [Fault_list.representative_of]), the full [Fault_list.all] universe
+   otherwise (raw candidate keys; the representatives are a subset, so
+   either pool covers the baselines). *)
+let sweep_pool t =
+  Array.of_list
+    (if t.config.prune then Fault_list.representatives (Fault_list.collapse t.net)
+     else Fault_list.all t.net)
+
+(* One sweep over the pool, packed into the arena: after this every
+   signature a diagnosis asks for is a bitmap test plus a streaming
+   decode. *)
+let sweep t pool =
+  Obs.phase "prewarm" (fun () ->
+      let triples = simulate t pool in
+      if Obs.enabled () then Obs.add c_prewarm_faults (Array.length pool);
+      Sig_cache.of_entries t.net t.pats (Array.mapi (fun i f -> (fault_key f, triples.(i))) pool))
+
+(* Load-or-sweep: a valid snapshot holding the whole pool yields the
+   arena with zero simulation; anything else (no dir, no file, or a
+   rejected file — [store.rejects], including one swept for a smaller
+   pool under the other [prune] setting) falls through to the live
+   sweep, which is then saved so the next process loads.  A failed save
+   is counted and flagged on the session, never fatal.  Returns the
+   arena and whether a save failed. *)
+let arena t =
+  let pool = sweep_pool t in
+  let loaded =
+    Option.bind t.config.store_dir (fun dir ->
+        Sig_cache.load_frozen ~keys:(Array.map fault_key pool) ~dir t.net t.pats)
+  in
+  match loaded with
+  | Some a -> (a, false)
+  | None ->
+    let a = sweep t pool in
+    let failed =
+      match t.config.store_dir with
+      | Some dir -> not (Sig_cache.save_frozen ~dir a)
+      | None -> false
+    in
+    if failed && Obs.enabled () then Obs.incr c_save_failures;
+    (a, failed)
+
+let create ?(config = default_config) ?sink net pats =
+  let blocks = Array.of_list (Pattern.blocks pats) in
+  let t =
+    {
+      net;
+      pats;
+      blocks;
+      goods = Array.map (fun b -> Logic_sim.simulate_block net b) blocks;
+      reach = Po_reach.compute net;
+      cache = None;
+      save_failed = false;
+      sink;
+      config;
+    }
+  in
+  if config.prewarm then begin
+    let a, save_failed = with_sink t (fun () -> arena t) in
+    { t with cache = Some a; save_failed }
+  end
+  else t

@@ -35,11 +35,10 @@ let diagnose_session ?(keep = 20) session dlog =
   let net = Session.netlist session in
   let collapsed = Fault_list.collapse net in
   let faults = Array.of_list (Fault_list.representatives collapsed) in
-  (* All representative signatures at once: cache hits replay, misses go
-     through the session's PPSFP slabs instead of one scalar cone walk
-     per (fault, block) — the former cold-path hot spot of this
-     baseline.  Warm rows come from the explanation matrix and every
-     earlier trial on this problem. *)
+  (* All representative signatures at once: arena hits replay, the rest
+     go through the session's PPSFP slabs instead of one scalar cone
+     walk per (fault, block) — the former cold-path hot spot of this
+     baseline. *)
   let triples = Session.fault_triples session faults in
   let scored =
     List.init (Array.length faults) (fun i ->

@@ -15,9 +15,9 @@ type result = {
 
 val diagnose_session : ?keep:int -> Session.t -> Datalog.t -> result
 (** [keep] bounds the returned ranking (default 20); the full universe is
-    still scored.  Signatures resolve through the session: cache hits
-    replay, misses fill through {!Session.fault_triples} batched slabs
-    and warm the cache for later trials. *)
+    still scored.  Signatures resolve through
+    {!Session.fault_triples}: arena hits replay, the rest are simulated
+    in batched slabs. *)
 
 val diagnose : ?keep:int -> Netlist.t -> Pattern.t -> Datalog.t -> result
 (** One-shot convenience over {!diagnose_session} (transient default

@@ -1,7 +1,8 @@
-(* Batched-kernel A/B bench: wall-clock medians of explain-build and
-   end-to-end diagnosis with the PPSFP batch pass on versus off, across
-   netlist tiers, yielding a fig1-style ms-per-diagnosis curve over gate
-   count for each mode.
+(* Batched-kernel A/B bench: wall-clock medians of the explanation
+   matrix built by [Explain] (the PPSFP batch pass) versus the per-fault
+   reference [Explain_ref] (one scalar cone walk per fault and block),
+   across netlist tiers, yielding a fig1-style ms-per-matrix curve over
+   gate count for each mode.
 
    Methodology differs from [Parbench] in two deliberate ways:
 
@@ -11,11 +12,11 @@
      together — while changing nothing about what the kernel does per
      pattern block.
 
-   - Both modes run against cache-off sessions: with a cache the second
-     mode would replay the first mode's stored signatures and the A/B
-     would compare cache lookups, not kernels.  (This also makes the
-     comparison byte-fair: both modes simulate every (fault, block)
-     pair on every run.) *)
+   - Both modes run against one session without a signature arena, so
+     both simulate every (fault, block) pair on every run and the A/B
+     compares kernels, not replays.  The reference reuses the batched
+     build's candidate pool, and the two matrices are checked equal
+     before anything is timed. *)
 
 type mode = Batched | Per_fault
 
@@ -26,10 +27,8 @@ type sample = {
   gates : int;  (** Net count of the tier circuit (PIs + gates). *)
   patterns : int;
   mode : mode;
-  explain_ms : float;  (** Median wall-clock of [Explain.build] at 1 domain. *)
-  diagnose_ms : float;  (** Median wall-clock of [Noassume.diagnose] at 1 domain. *)
+  explain_ms : float;  (** Median wall-clock of one matrix build at 1 domain. *)
   explain_best_ms : float;  (** Minimum over the timed runs. *)
-  diagnose_best_ms : float;  (** Minimum over the timed runs. *)
 }
 
 type report = { repeats : int; samples : sample list }
@@ -56,7 +55,7 @@ let median a =
 let time_ab ~repeats f =
   let time mode =
     let t0 = now_ms () in
-    ignore (Sys.opaque_identity (f ~batch:(mode = Batched)));
+    f mode;
     now_ms () -. t0
   in
   ignore (time Per_fault);
@@ -104,37 +103,38 @@ let run ?(circuits = [ "rnd1k"; "rnd2k" ]) ?(repeats = 5) ?(patterns = default_p
     List.concat_map
       (fun circuit ->
         let net, pats, dlog = prepare ~circuit ~patterns ~multiplicity ~seed in
-        (* One cache-off, single-kernel-domain session per mode; session
+        (* One single-kernel-domain session without an arena; its
            construction (goods, PO reach) stays outside the timed
            region, so the A/B isolates the simulation kernels. *)
-        let session batch =
+        let session =
           Session.create
-            ~config:
-              { Session.default_config with Session.cache = false; batch; domains = Some 1 }
+            ~config:{ Session.default_config with Session.domains = Some 1 }
             net pats
         in
-        let s_bt = session true and s_pf = session false in
-        let pick ~batch = if batch then s_bt else s_pf in
-        let explain_pf, explain_bt =
-          time_ab ~repeats (fun ~batch -> Explain.build_session (pick ~batch) dlog)
+        let candidates = Explain.candidates (Explain.build_session session dlog) in
+        if
+          not
+            (Explain_ref.agrees (Explain.build_session session dlog)
+               (Explain_ref.build session dlog candidates))
+        then failwith ("Batchbench: batched matrix differs from the reference on " ^ circuit);
+        let per_fault, batched =
+          time_ab ~repeats (fun mode ->
+              match mode with
+              | Batched -> ignore (Sys.opaque_identity (Explain.build_session session dlog))
+              | Per_fault ->
+                ignore (Sys.opaque_identity (Explain_ref.build session dlog candidates)))
         in
-        let config = { Noassume.default_config with domains = Some 1 } in
-        let diagnose_pf, diagnose_bt =
-          time_ab ~repeats (fun ~batch -> Noassume.diagnose_session ~config (pick ~batch) dlog)
-        in
-        let sample mode (explain_ms, explain_best_ms) (diagnose_ms, diagnose_best_ms) =
+        let sample mode (explain_ms, explain_best_ms) =
           {
             tier = circuit;
             gates = Netlist.num_nets net;
             patterns = Pattern.count pats;
             mode;
             explain_ms;
-            diagnose_ms;
             explain_best_ms;
-            diagnose_best_ms;
           }
         in
-        [ sample Per_fault explain_pf diagnose_pf; sample Batched explain_bt diagnose_bt ])
+        [ sample Per_fault per_fault; sample Batched batched ])
       circuits
   in
   { repeats; samples }
@@ -143,8 +143,7 @@ let find_sample r ~tier ~mode =
   List.find_opt (fun s -> s.tier = tier && s.mode = mode) r.samples
 
 (* Per-tier speedups as ratios of best (minimum) times — see
-   [time_runs]; the explain-build ratio is the number the regression
-   gate floors. *)
+   [time_ab]; the number the regression gate floors. *)
 let speedups r =
   List.filter_map
     (fun s ->
@@ -152,11 +151,7 @@ let speedups r =
       else
         match find_sample r ~tier:s.tier ~mode:Per_fault with
         | None -> None
-        | Some pf ->
-          Some
-            ( s.tier,
-              pf.explain_best_ms /. s.explain_best_ms,
-              pf.diagnose_best_ms /. s.diagnose_best_ms ))
+        | Some pf -> Some (s.tier, pf.explain_best_ms /. s.explain_best_ms))
     r.samples
 
 let to_table r =
@@ -164,7 +159,8 @@ let to_table r =
     Table.create
       ~title:
         (Printf.sprintf
-           "PPSFP batch A/B per tier (%d runs/point, wall clock, 1 domain, cache-off sessions)"
+           "PPSFP batch vs per-fault reference per tier (%d runs/point, wall clock, 1 \
+            domain, no arena)"
            r.repeats)
       [
         ("tier", Table.Left);
@@ -172,7 +168,6 @@ let to_table r =
         ("patterns", Table.Right);
         ("mode", Table.Left);
         ("explain ms", Table.Right);
-        ("diagnose ms", Table.Right);
         ("speedup", Table.Right);
       ]
   in
@@ -181,8 +176,8 @@ let to_table r =
     (fun s ->
       let speedup =
         if s.mode = Batched then
-          match List.find_opt (fun (t, _, _) -> t = s.tier) sp with
-          | Some (_, e, _) -> Printf.sprintf "%.2fx" e
+          match List.assoc_opt s.tier sp with
+          | Some e -> Printf.sprintf "%.2fx" e
           | None -> "-"
         else "-"
       in
@@ -193,7 +188,6 @@ let to_table r =
           Table.cell_int s.patterns;
           mode_name s.mode;
           Table.cell_float ~decimals:2 s.explain_ms;
-          Table.cell_float ~decimals:2 s.diagnose_ms;
           speedup;
         ])
     r.samples;
@@ -206,19 +200,15 @@ let json_of_report r =
     (fun i s ->
       Printf.bprintf buf
         "    {\"tier\": %S, \"gates\": %d, \"patterns\": %d, \"mode\": %S, \
-         \"explain_ms\": %.3f, \"diagnose_ms\": %.3f, \"explain_best_ms\": %.3f, \
-         \"diagnose_best_ms\": %.3f}%s\n"
-        s.tier s.gates s.patterns (mode_name s.mode) s.explain_ms s.diagnose_ms
-        s.explain_best_ms s.diagnose_best_ms
+         \"explain_ms\": %.3f, \"explain_best_ms\": %.3f}%s\n"
+        s.tier s.gates s.patterns (mode_name s.mode) s.explain_ms s.explain_best_ms
         (if i = List.length r.samples - 1 then "" else ","))
     r.samples;
   Printf.bprintf buf "  ],\n  \"speedups\": [\n";
   let sp = speedups r in
   List.iteri
-    (fun i (tier, e, d) ->
-      Printf.bprintf buf
-        "    {\"tier\": %S, \"explain_speedup\": %.3f, \"diagnose_speedup\": %.3f}%s\n"
-        tier e d
+    (fun i (tier, e) ->
+      Printf.bprintf buf "    {\"tier\": %S, \"explain_speedup\": %.3f}%s\n" tier e
         (if i = List.length sp - 1 then "" else ","))
     sp;
   Buffer.add_string buf "  ]\n}\n";

@@ -49,19 +49,15 @@ let run ?(methods = all_methods) ?(config = Noassume.default_config)
   let config =
     if trials > 1 then { config with Noassume.domains = Some 1 } else config
   in
-  (* One warm session for the whole cell: every trial shares the goods,
-     the PO-reach screen and the signature-cache instance (trials differ
-     only in the datalog — exactly the cross-trial reuse the cache
-     exists for).  The session is immutable, so parallel trials share it
-     safely. *)
+  (* One prewarmed session for the whole cell: every trial shares the
+     goods, the PO-reach screen and the signature arena (trials differ
+     only in the datalog, so no trial simulates a single fault of the
+     pool).  The whole-pool sweep fans out over the campaign's domains;
+     each trial's own matrix build then runs at [config.domains].  The
+     session is immutable, so parallel trials share it safely. *)
   let session =
     Session.create
-      ~config:
-        {
-          Session.default_config with
-          Session.domains = config.Noassume.domains;
-          cover;
-        }
+      ~config:{ Session.default_config with Session.domains; prewarm = true; cover }
       net pats
   in
   let run_trial trial_rng =
@@ -82,7 +78,7 @@ let run ?(methods = all_methods) ?(config = Noassume.default_config)
       (* Score against the defects that left a trace; fully masked ones
          are invisible to any diagnosis. *)
       let defects = Injection.contributing net pats defects in
-      let matrix = Explain.build_session session dlog in
+      let matrix = Explain.build_session ?domains:config.Noassume.domains session dlog in
       let classification = Slat.classify matrix in
       let noassume =
         if methods.run_noassume then begin

@@ -59,7 +59,7 @@ val run :
   t
 (** Run [trials] trials.  [patterns] overrides {!test_set} (used by the
     test-set-size sweep); [cover] selects the covering backend for the
-    campaign's shared session (default [Greedy]); [layout] constrains
+    campaign's shared, prewarmed session (default [Greedy]); [layout] constrains
     injected bridges/opens to physically adjacent nets (the layout
     ablation — pass the same placement in [config.layout] to let
     diagnosis use it too).

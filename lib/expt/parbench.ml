@@ -79,11 +79,13 @@ let capture_stats ~circuit ~kernel ~domains f =
   report
 
 let run ?(circuit = "rnd1k") ?(domain_counts = [ 1; 2; 4; 8 ]) ?(repeats = 5)
-    ?(multiplicity = 3) ?(seed = 99) ?(with_stats = true) ?(cache = true) () =
+    ?(multiplicity = 3) ?(seed = 99) ?(with_stats = true) () =
   let net, pats, dlog = prepare ~circuit ~multiplicity ~seed in
   (* Session construction stays inside the timed region — the bench
-     tracks whole-call cost, and the one-shot wrappers pay it too. *)
-  let scfg d = { Session.default_config with Session.cache; domains = Some d } in
+     tracks whole-call cost, and the one-shot wrappers pay it too.  No
+     arena: every run, the stats capture included, simulates the whole
+     candidate pool. *)
+  let scfg d = { Session.default_config with Session.domains = Some d } in
   let kernels =
     [
       ( "explain-build",
@@ -132,20 +134,19 @@ let run ?(circuit = "rnd1k") ?(domain_counts = [ 1; 2; 4; 8 ]) ?(repeats = 5)
   in
   { circuit; repeats; samples }
 
-(* Cross-trial cache effectiveness of one campaign cell, measured from a
-   cold cache with sequential trials, so the hit/miss split is
-   deterministic (parallel trials can race on a cold key and double a
-   miss).  All trials share the circuit and test set and differ only in
-   the datalog — exactly the reuse the signature cache exists for. *)
-let campaign_hit_rate ?(circuit = "rnd1k") ?(trials = 4) ?(multiplicity = 3) ?(seed = 99)
-    () =
+(* Arena coverage of one campaign cell, trials sequential: the cell's
+   session is prewarmed, so every signature a trial asks for — matrix
+   rows and the single-fault baseline's whole pool — must come from the
+   arena.  Any miss means some phase keys a fault the sweep did not
+   cover and silently simulates it again. *)
+let campaign_arena_probes ?(circuit = "rnd1k") ?(trials = 4) ?(multiplicity = 3)
+    ?(seed = 99) () =
   let net =
     match Generators.find_suite circuit with
     | Some n -> n
     | None -> invalid_arg ("Parbench: unknown suite circuit " ^ circuit)
   in
   let was_obs = Obs.enabled () in
-  Sig_cache.clear ();
   Obs.reset ();
   Obs.enable ();
   ignore
@@ -153,13 +154,10 @@ let campaign_hit_rate ?(circuit = "rnd1k") ?(trials = 4) ?(multiplicity = 3) ?(s
        ~multiplicity ~trials ~seed);
   let snap = Obs.snapshot () in
   let counter name = Option.value ~default:0 (List.assoc_opt name snap.Obs.counters) in
-  let hits = counter "cache.hits" and misses = counter "cache.misses" in
+  let hits = counter "cache.frozen_hits" and misses = counter "cache.misses" in
   if not was_obs then Obs.disable ();
   Obs.reset ();
-  let rate =
-    if hits + misses = 0 then 0.0 else float_of_int hits /. float_of_int (hits + misses)
-  in
-  (rate, hits, misses)
+  (hits, misses)
 
 let to_table r =
   let table =

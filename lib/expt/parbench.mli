@@ -27,32 +27,27 @@ val run :
   ?multiplicity:int ->
   ?seed:int ->
   ?with_stats:bool ->
-  ?cache:bool ->
   unit ->
   report
 (** Defaults: [rnd1k], domain counts [1; 2; 4; 8], 5 repeats, 3 injected
-    defects, seed 99, stats capture on, signature cache on.
-    [~cache:false] times cache-off sessions — the regression gate's
-    timing check uses it so the timed kernels simulate instead of
-    replaying warm signatures.  Stats capture resets the global [Obs]
-    registry.  Raises [Invalid_argument] on an unknown suite circuit
-    name. *)
+    defects, seed 99, stats capture on.  Every run builds a fresh
+    session without a signature arena, so each one simulates the whole
+    candidate pool.  Stats capture resets the global [Obs] registry.
+    Raises [Invalid_argument] on an unknown suite circuit name. *)
 
-val campaign_hit_rate :
+val campaign_arena_probes :
   ?circuit:string ->
   ?trials:int ->
   ?multiplicity:int ->
   ?seed:int ->
   unit ->
-  float * int * int
-(** [(rate, hits, misses)] of the fault-signature cache across one
-    campaign cell run sequentially ([domains:1]) from a cold cache —
-    trials share the circuit and test set, so later trials hit what
-    earlier trials simulated.  Deterministic for a fixed seed (parallel
-    trials could race on a cold key and count an extra miss); used by the
-    bench regression gate.  Clears the cache registry and temporarily
-    enables the [Obs] registry, resetting it before returning.
-    Defaults: [rnd1k], 4 trials, multiplicity 3, seed 99. *)
+  int * int
+(** [(frozen_hits, misses)] of one campaign cell run sequentially
+    ([domains:1]) on its prewarmed session.  Misses must be zero: every
+    signature a trial needs is in the arena.  Deterministic for a fixed
+    seed; used by the bench regression gate.  Temporarily enables the
+    [Obs] registry, resetting it before returning.  Defaults: [rnd1k],
+    4 trials, multiplicity 3, seed 99. *)
 
 val to_table : report -> Table.t
 

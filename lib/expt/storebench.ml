@@ -1,44 +1,47 @@
 (* Persistent-store bench: time-to-first-report of one die against a
    fresh process, three arms per circuit (EXPERIMENTS Fig 1c):
 
-   - {e cold}: no prewarm — the first diagnosis pays the candidate-pool
-     simulation itself (the pre-PR 8 cold start);
-   - {e prewarm}: [Session.prewarm] sweeps the whole pool and freezes,
-     then the first diagnosis runs on the frozen arena (the PR 8 story —
-     the sweep cost is the number that restarts keep repaying);
+   - {e cold}: the first diagnosis on a session without an arena — it
+     pays the candidate-pool simulation itself;
+   - {e prewarm}: a session that sweeps the whole pool into its arena
+     at creation, then the first diagnosis replays it (the sweep is the
+     cost that restarts keep repaying);
    - {e load}: [Sig_cache.load_frozen] adopts a snapshot saved by an
      earlier sweep, then the first diagnosis runs on the same arena —
      what a restarted fleet process actually pays.
 
-   Methodology follows [Volumebench]: seeded-random patterns, wall
-   clock, arms interleaved run by run so machine-speed drift lands on
-   every arm equally, and the headline ratio divides best (minimum)
-   times — scheduling noise only ever adds time.  The registry is
-   cleared before every arm so each one builds a private cache instance
-   (a shared instance would leak one arm's warmth into another).
+   The goods and PO reach every session builds are outside the cold and
+   load timings.  Methodology follows [Volumebench]: seeded-random
+   patterns, wall clock, arms interleaved run by run so machine-speed
+   drift lands on every arm equally, and the headline ratio divides
+   best (minimum) times — scheduling noise only ever adds time.
 
    Alongside the timings the report pins the footprint story: the
    packed arena's resident bytes ([Sig_cache.frozen_bytes]) against
-   what the former boxed representation would cost, the snapshot file
-   size, and whether the full-pool arena sits inside the default cache
-   budget — the rnd50k acceptance number. *)
+   what a boxed representation would cost, the snapshot file size, and
+   whether the full-pool arena fits [arena_ceiling_mb] — the rnd50k
+   acceptance number. *)
 
 type sample = {
   circuit : string;
   runs : int;
   faults : int;  (* prewarm pool size (class representatives) *)
-  cold_ms : float;  (* best first-diagnose, cold cache *)
-  prewarm_ms : float;  (* best whole-pool sweep + freeze *)
+  cold_ms : float;  (* best first diagnose, no arena *)
+  prewarm_ms : float;  (* best session build with the whole-pool sweep *)
   prewarm_first_ms : float;  (* best first-diagnose after the sweep *)
-  load_ms : float;  (* best snapshot load (read + validate + publish) *)
+  load_ms : float;  (* best snapshot load (read + validate) *)
   load_first_ms : float;  (* best first-diagnose after the load *)
   load_speedup : float;  (* cold_ms / (load_ms + load_first_ms) *)
-  arena_bytes : int;  (* packed frozen tier, resident *)
-  boxed_bytes : int;  (* the same entries in the pre-arena boxed shape *)
+  arena_bytes : int;  (* packed arena, resident *)
+  boxed_bytes : int;  (* the same entries in a boxed shape *)
   file_bytes : int;  (* snapshot on disk (header + packed body) *)
-  budget_bytes : int;  (* default cache budget the arena must fit *)
+  budget_bytes : int;  (* arena_ceiling_mb, in bytes *)
   fits_budget : bool;  (* arena_bytes <= budget_bytes *)
 }
+
+(* Resident ceiling for one problem's arena: the 64 MB per-problem
+   budget the signature store has always been sized against. *)
+let arena_ceiling_mb = 64
 
 type report = { repeats : int; samples : sample list }
 
@@ -73,57 +76,59 @@ let prepare ~circuit ~patterns ~multiplicity ~seed =
 
 let bench_circuit ~store_dir ~repeats ~patterns ~multiplicity ~seed circuit =
   let net, pats, dlog = prepare ~circuit ~patterns ~multiplicity ~seed in
-  let diagnose session =
+  (* Each timed section starts from a collected heap, as in a fresh
+     process: otherwise the garbage of the arm before (a sweep's
+     scratch, the discarded arena of the timed load) is marked and swept
+     on the next arm's clock. *)
+  let timed f =
+    Gc.full_major ();
     let t0 = now_ms () in
-    ignore (Sys.opaque_identity (Noassume.diagnose_session session dlog));
-    now_ms () -. t0
+    let v = f () in
+    (v, now_ms () -. t0)
   in
-  let fresh_session () =
-    (* A private instance per arm: an inherited one would carry another
-       arm's warmth (or its frozen tier) into this measurement. *)
-    Sig_cache.clear ();
-    Session.create net pats
+  let create config = Session.create ~config net pats in
+  let diagnose session =
+    snd (timed (fun () -> Sys.opaque_identity (Noassume.diagnose_session session dlog)))
   in
-  let cache session =
-    match Session.cache session with
-    | Some c -> c
-    | None -> failwith "Storebench: session runs cache-off"
-  in
+  let cold_config = Session.default_config in
+  let prewarm_config = { cold_config with Session.prewarm = true } in
+  let load_config = { prewarm_config with Session.store_dir = Some store_dir } in
   (* Seed the snapshot once, outside the timed runs, and keep the pool
      size and footprint numbers from it (identical on every sweep). *)
-  let seed_session = fresh_session () in
-  let faults = Session.prewarm seed_session in
-  if not (Sig_cache.save_frozen ~dir:store_dir (cache seed_session)) then
+  let seed_session = create load_config in
+  let arena =
+    match Session.cache seed_session with
+    | Some a -> a
+    | None -> failwith "Storebench: prewarmed session holds no arena"
+  in
+  if Session.save_failed seed_session then
     failwith ("Storebench: cannot save snapshot under " ^ store_dir);
-  let path = Sig_cache.store_path ~dir:store_dir (cache seed_session) in
-  let file_bytes = (Unix.stat path).Unix.st_size in
-  let arena_bytes = Sig_cache.frozen_bytes (cache seed_session) in
-  let boxed_bytes = Sig_cache.frozen_boxed_bytes (cache seed_session) in
+  if Sig_cache.load_frozen ~dir:store_dir net pats = None then
+    failwith "Storebench: snapshot load rejected";
+  let faults =
+    List.length
+      (if cold_config.Session.prune then Fault_list.representatives (Fault_list.collapse net)
+       else Fault_list.all net)
+  in
+  let file_bytes = (Unix.stat (Sig_cache.store_path ~dir:store_dir net)).Unix.st_size in
   let cold = Array.make repeats 0.0 in
   let sweep = Array.make repeats 0.0 in
   let sweep_first = Array.make repeats 0.0 in
   let load = Array.make repeats 0.0 in
   let load_first = Array.make repeats 0.0 in
   for i = 0 to repeats - 1 do
-    (* Cold arm. *)
-    let s = fresh_session () in
-    cold.(i) <- diagnose s;
-    (* Prewarm arm. *)
-    let s = fresh_session () in
-    let t0 = now_ms () in
-    ignore (Session.prewarm s);
-    sweep.(i) <- now_ms () -. t0;
+    cold.(i) <- diagnose (create cold_config);
+    let s, t = timed (fun () -> create prewarm_config) in
+    sweep.(i) <- t;
     sweep_first.(i) <- diagnose s;
-    (* Load arm. *)
-    let s = fresh_session () in
-    let t0 = now_ms () in
-    if not (Sig_cache.load_frozen ~dir:store_dir (cache s)) then
-      failwith "Storebench: snapshot load rejected";
-    load.(i) <- now_ms () -. t0;
-    load_first.(i) <- diagnose s
+    (* The session below adopts the same snapshot again, untimed, so its
+       first diagnosis runs on a just-loaded arena. *)
+    load.(i) <- snd (timed (fun () -> Sig_cache.load_frozen ~dir:store_dir net pats));
+    load_first.(i) <- diagnose (create load_config)
   done;
   let best a = Array.fold_left min a.(0) a in
-  let budget_bytes = Sig_cache.default_budget_mb * 1024 * 1024 in
+  let budget_bytes = arena_ceiling_mb * 1024 * 1024 in
+  let arena_bytes = Sig_cache.frozen_bytes arena in
   {
     circuit;
     runs = repeats;
@@ -135,7 +140,7 @@ let bench_circuit ~store_dir ~repeats ~patterns ~multiplicity ~seed circuit =
     load_first_ms = best load_first;
     load_speedup = best cold /. (best load +. best load_first);
     arena_bytes;
-    boxed_bytes;
+    boxed_bytes = Sig_cache.frozen_boxed_bytes arena;
     file_bytes;
     budget_bytes;
     fits_budget = arena_bytes <= budget_bytes;

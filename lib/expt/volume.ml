@@ -3,20 +3,19 @@
    The production shape of the paper's flow: a tester produces one
    datalog per failing die, all against one design and one test set.
    Per-die work (explanation matrix, covering, refinement) is far
-   smaller than per-problem work (goods, PO reach, signature warm-up),
-   so the service loads a [Session.t] once and drains the queue with
-   {e request-level} parallelism — one whole diagnosis per domain, each
-   worker single-domain inside ([Parallel]'s nested calls run inline
-   anyway; pinning the config makes the per-die counters comparable
-   across worker counts).
+   smaller than per-problem work (goods, PO reach, the signature
+   arena), so the service loads a [Session.t] once and drains the queue
+   with {e request-level} parallelism — one whole diagnosis per domain,
+   each die's kernels pinned to one domain, so a die does the same work
+   whichever domain drains it.
 
    Each die runs under a private [Obs.sink], so its run report carries
    its own counters even with many diagnoses in flight, and the sink is
    merged into the process registry afterwards so `--stats` totals
-   still add up.  Note the per-die cache.hits/misses split depends on
-   drain order (whoever reaches a cold signature first pays the miss);
-   the rendered diagnosis reports do not — they are byte-identical to
-   single-shot runs of the same die. *)
+   still add up.  The session never changes after creation, so a die's
+   report and counters depend only on the die: the per-die JSON is
+   byte-identical for every worker count and drain order, and the
+   rendered reports match single-shot runs of the same die. *)
 
 type die = { name : string; dlog : Datalog.t }
 
@@ -172,8 +171,7 @@ let json_of_die r =
       ( "spurious",
         Obs_json.Num (float_of_int (s.Scoring.spurious_fail + s.Scoring.spurious_pass)) );
       ("report", Obs_json.Str r.text);
-      (* Deterministic report body (timings off); the cache hit/miss
-         split still depends on drain order — see the module comment. *)
+      (* Timings off: the whole record is deterministic. *)
       ("stats", Run_report.to_obs_json ~timings:false r.report);
     ]
 

@@ -2,7 +2,7 @@
 
     The production shape of the flow: every failing die of one design
     shares the netlist, the test set, the good-machine words and the
-    signature cache — only the datalog differs.  The service creates one
+    signature arena — only the datalog differs.  The service creates one
     {!Session.t}, then drains the die queue with request-level
     parallelism: one whole diagnosis per OCaml domain, each worker
     running its kernels single-domain.  Per-die observability comes
@@ -10,8 +10,8 @@
     registry after capture.
 
     Rendered diagnosis reports are byte-identical to single-shot
-    [diagnose] runs of the same die; the per-die counter splits (cache
-    hits vs misses) depend on drain order and are not. *)
+    [diagnose] runs of the same die, and each die's JSON ({!die_json})
+    is byte-identical for every worker count. *)
 
 type die = { name : string; dlog : Datalog.t }
 
@@ -65,8 +65,8 @@ val rollup : Session.t -> die_result list -> rollup
 
 val die_json : die_result -> string
 (** One die as JSON: summary numbers, the rendered report, and the
-    per-die run report (timings off, so the text is deterministic up to
-    drain-order cache splits). *)
+    per-die run report (timings off, so the text depends only on the
+    session and the die). *)
 
 val rollup_json : rollup -> string
 

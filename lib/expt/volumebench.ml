@@ -1,47 +1,36 @@
 (* Volume-throughput bench: diagnoses/second of the volume service at
-   several worker counts, against one warm session.
+   several worker counts, against one prewarmed session — the shape
+   `diagnose --batch-dir` runs.
 
    Methodology follows [Batchbench]: seeded-random patterns (the bench
    measures the service loop, not ATPG), wall clock, worker counts
    interleaved run by run so machine-speed drift lands on every arm
    equally, and speedups as ratios of best (minimum) drain times —
-   scheduling noise only ever adds time.
+   scheduling noise only ever adds time.  The one-time arena build is
+   reported separately as [prewarm_ms]: it amortises over the die
+   count, which is the rnd50k cold-start story (EXPERIMENTS Fig 1a).
 
-   Two arms per worker count, interleaved run by run:
-
-   - the {e lazy} arm drains a session whose signature cache was filled
-     by one untimed drain (the pre-prewarm steady state — every warm
-     hit pays a shard [Mutex.lock]);
-   - the {e prewarm} arm drains a session whose cache was filled by
-     [Session.prewarm] and frozen — every hit is a lock-free
-     frozen-tier read.
-
-   The two sessions hold {e distinct} cache instances: the registry is
-   cleared between creations, else [Sig_cache.for_problem]'s
-   physical-equality sharing would hand both sessions one instance and
-   freezing it would contaminate the lazy arm.  Session handles survive
-   registry clears.  The one-time sweep cost is reported separately as
-   [prewarm_ms] — it amortises over the die count, which is the
-   rnd50k cold-start story (EXPERIMENTS Fig 1a). *)
+   Alongside the timings, one untimed pass counts what the drain
+   simulated: the per-die [cache.misses] and the fault simulations of a
+   bare matrix build per die.  Both must be zero on a prewarmed
+   session — deterministic numbers, gated in [check_regress]. *)
 
 type sample = {
   workers : int;
   runs : int;
-  median_ms : float;  (* lazy arm: full-queue drain, median over runs *)
-  best_ms : float;  (* lazy arm: minimum over the timed runs *)
-  dps : float;  (* lazy arm: diagnoses per second at the best drain *)
-  speedup_vs_1 : float;  (* lazy best_ms at 1 worker / best_ms here *)
-  prewarm_median_ms : float;  (* frozen arm: median drain *)
-  prewarm_best_ms : float;  (* frozen arm: best drain *)
-  prewarm_dps : float;  (* frozen arm: diagnoses/sec at best drain *)
-  prewarm_speedup : float;  (* lazy best_ms / frozen best_ms, same workers *)
+  median_ms : float;  (* full-queue drain, median over runs *)
+  best_ms : float;  (* minimum over the timed runs *)
+  dps : float;  (* diagnoses per second at the best drain *)
+  speedup_vs_1 : float;  (* best_ms at 1 worker / best_ms here *)
 }
 
 type report = {
   circuit : string;
   dies : int;
   repeats : int;
-  prewarm_ms : float;  (* one-time whole-pool sweep + freeze *)
+  prewarm_ms : float;  (* one-time session build with the whole-pool arena *)
+  misses : int;  (* cache.misses summed over the dies of one drain *)
+  explain_simulated : int;  (* faults simulated by the dies' matrix builds *)
   samples : sample list;
   skipped_workers : int list;  (* arms above the available core count, not timed *)
 }
@@ -97,68 +86,63 @@ let run ?(circuit = "rnd2k") ?(worker_counts = [ 1; 2; 4 ]) ?(repeats = 3)
   let skipped_workers = List.filter (fun w -> w > cores) worker_counts in
   let worker_counts = List.filter (fun w -> w <= cores) worker_counts in
   let net, pats, queue = prepare ~circuit ~patterns ~dies ~multiplicity ~seed in
-  (* Lazy arm: a private cache instance warmed by one untimed drain (and
-     never frozen).  Clear the registry first so this creation cannot
-     adopt — or later donate — an instance shared with the other arm. *)
-  Sig_cache.clear ();
-  let lazy_session = Session.create net pats in
-  let drain session workers =
+  let t0 = now_ms () in
+  let session =
+    Session.create ~config:{ Session.default_config with Session.prewarm = true } net pats
+  in
+  let prewarm_ms = now_ms () -. t0 in
+  let drain workers =
     let t0 = now_ms () in
     ignore (Sys.opaque_identity (Volume.run ~workers session queue));
     now_ms () -. t0
   in
-  (* Warm-up drain: fills the signature cache and pays allocation
-     ramp-up outside every timed run. *)
-  ignore (drain lazy_session 1);
-  (* Prewarm arm: a fresh instance filled by the whole-pool sweep and
-     frozen.  The sweep is timed once — the number the cold-start story
-     quotes — then a cheap untimed drain pays the same allocation
-     ramp-up the lazy arm got. *)
-  Sig_cache.clear ();
-  let frozen_session = Session.create net pats in
-  let t0 = now_ms () in
-  ignore (Session.prewarm frozen_session);
-  let prewarm_ms = now_ms () -. t0 in
-  Sig_cache.clear ();
-  ignore (drain frozen_session 1);
-  let times =
-    Array.of_list
-      (List.map (fun w -> (w, Array.make repeats 0.0, Array.make repeats 0.0)) worker_counts)
+  (* Untimed pass: pays allocation ramp-up outside every timed run and
+     counts what a drain simulates.  Per-die sinks record whether or
+     not the global registry is on. *)
+  let counter (r : Run_report.t) name =
+    Option.value ~default:0 (List.assoc_opt name (Run_report.counters r))
   in
+  let misses =
+    List.fold_left
+      (fun acc (r : Volume.die_result) -> acc + counter r.Volume.report "cache.misses")
+      0
+      (Volume.run ~workers:1 session queue)
+  in
+  let explain_simulated =
+    List.fold_left
+      (fun acc (d : Volume.die) ->
+        let sink = Obs.sink () in
+        Obs.with_sink sink (fun () ->
+            ignore (Explain.build_session ~domains:1 session d.Volume.dlog));
+        acc + counter (Run_report.capture ~sink ()) "sim.faults_simulated")
+      0 queue
+  in
+  let times = Array.of_list (List.map (fun w -> (w, Array.make repeats 0.0)) worker_counts) in
   for i = 0 to repeats - 1 do
-    Array.iter
-      (fun (w, lz, fz) ->
-        lz.(i) <- drain lazy_session w;
-        fz.(i) <- drain frozen_session w)
-      times
+    Array.iter (fun (w, a) -> a.(i) <- drain w) times
   done;
   let best_of a = Array.fold_left min a.(0) a in
   let base =
-    match Array.find_opt (fun (w, _, _) -> w = 1) times with
-    | Some (_, a, _) -> best_of a
-    | None -> (match times with [||] -> nan | _ -> (fun (_, a, _) -> best_of a) times.(0))
+    match Array.find_opt (fun (w, _) -> w = 1) times with
+    | Some (_, a) -> best_of a
+    | None -> (match times with [||] -> nan | _ -> best_of (snd times.(0)))
   in
   let samples =
     Array.to_list
       (Array.map
-         (fun (w, lz, fz) ->
-           let best = best_of lz in
-           let pbest = best_of fz in
+         (fun (w, a) ->
+           let best = best_of a in
            {
              workers = w;
              runs = repeats;
-             median_ms = median lz;
+             median_ms = median a;
              best_ms = best;
              dps = float_of_int dies /. (best /. 1e3);
              speedup_vs_1 = base /. best;
-             prewarm_median_ms = median fz;
-             prewarm_best_ms = pbest;
-             prewarm_dps = float_of_int dies /. (pbest /. 1e3);
-             prewarm_speedup = best /. pbest;
            })
          times)
   in
-  { circuit; dies; repeats; prewarm_ms; samples; skipped_workers }
+  { circuit; dies; repeats; prewarm_ms; misses; explain_simulated; samples; skipped_workers }
 
 (* Best request-level speedup over the multi-worker arms — the number
    the regression gate floors. *)
@@ -167,22 +151,14 @@ let best_speedup r =
     (fun acc s -> if s.workers > 1 then max acc s.speedup_vs_1 else acc)
     0.0 r.samples
 
-(* Best frozen-over-lazy throughput ratio across all worker counts —
-   gate 6 ([min_prewarm_speedup]).  On one core the 1-worker arm
-   carries the signal (no contention to remove, the ratio floors near
-   1.0); with real cores the multi-worker arms show the
-   contention-removal win. *)
-let best_prewarm_speedup r =
-  List.fold_left (fun acc s -> max acc s.prewarm_speedup) 0.0 r.samples
-
 let to_table r =
   let table =
     Table.create
       ~title:
         (Printf.sprintf
-           "Volume diagnosis throughput on %s (%d dies/drain, %d runs/point, lazy-warm \
-            vs prewarm+frozen session; prewarm sweep %.1f ms%s)"
-           r.circuit r.dies r.repeats r.prewarm_ms
+           "Volume diagnosis throughput on %s (%d dies/drain, %d runs/point, prewarmed \
+            session; prewarm %.1f ms; %d misses, %d faults simulated by explain%s)"
+           r.circuit r.dies r.repeats r.prewarm_ms r.misses r.explain_simulated
            (match r.skipped_workers with
            | [] -> ""
            | ws ->
@@ -194,9 +170,6 @@ let to_table r =
         ("best ms", Table.Right);
         ("diagnoses/s", Table.Right);
         ("speedup vs 1", Table.Right);
-        ("frozen best ms", Table.Right);
-        ("frozen dps", Table.Right);
-        ("prewarm speedup", Table.Right);
       ]
   in
   List.iter
@@ -208,9 +181,6 @@ let to_table r =
           Table.cell_float ~decimals:1 s.best_ms;
           Table.cell_float ~decimals:2 s.dps;
           Table.cell_float ~decimals:2 s.speedup_vs_1;
-          Table.cell_float ~decimals:1 s.prewarm_best_ms;
-          Table.cell_float ~decimals:2 s.prewarm_dps;
-          Table.cell_float ~decimals:2 s.prewarm_speedup;
         ])
     r.samples;
   table
@@ -220,20 +190,18 @@ let json_of_report r =
   Printf.bprintf buf "{\n  \"circuit\": %S,\n  \"dies\": %d,\n  \"repeats\": %d,\n"
     r.circuit r.dies r.repeats;
   Printf.bprintf buf "  \"prewarm_ms\": %.3f,\n" r.prewarm_ms;
+  Printf.bprintf buf "  \"misses\": %d,\n  \"explain_simulated\": %d,\n" r.misses
+    r.explain_simulated;
   Printf.bprintf buf "  \"skipped_workers\": [%s],\n"
     (String.concat ", " (List.map string_of_int r.skipped_workers));
-  Printf.bprintf buf "  \"best_multiworker_speedup\": %.4f,\n" (best_speedup r);
-  Printf.bprintf buf "  \"best_prewarm_speedup\": %.4f,\n  \"samples\": [\n"
-    (best_prewarm_speedup r);
+  Printf.bprintf buf "  \"best_multiworker_speedup\": %.4f,\n  \"samples\": [\n"
+    (best_speedup r);
   List.iteri
     (fun i s ->
       Printf.bprintf buf
         "    {\"workers\": %d, \"runs\": %d, \"median_ms\": %.3f, \"best_ms\": %.3f, \
-         \"diagnoses_per_sec\": %.4f, \"speedup_vs_1\": %.4f, \
-         \"prewarm_median_ms\": %.3f, \"prewarm_best_ms\": %.3f, \
-         \"prewarm_diagnoses_per_sec\": %.4f, \"prewarm_speedup\": %.4f}%s\n"
-        s.workers s.runs s.median_ms s.best_ms s.dps s.speedup_vs_1 s.prewarm_median_ms
-        s.prewarm_best_ms s.prewarm_dps s.prewarm_speedup
+         \"diagnoses_per_sec\": %.4f, \"speedup_vs_1\": %.4f}%s\n"
+        s.workers s.runs s.median_ms s.best_ms s.dps s.speedup_vs_1
         (if i = List.length r.samples - 1 then "" else ","))
     r.samples;
   Buffer.add_string buf "  ]\n}\n";

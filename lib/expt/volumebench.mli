@@ -1,25 +1,17 @@
 (** Volume-throughput bench: diagnoses/second of {!Volume.run} at
-    several worker counts, two arms per count — a {e lazy-warm} session
-    (cache filled by an untimed drain, every hit through the shard
-    mutex) and a {e prewarm+frozen} session ({!Session.prewarm}, every
-    hit a lock-free frozen-tier read) on distinct cache instances.
-    Arms and worker counts are interleaved run by run and speedups
-    divide best (minimum) drain times, the same noise defenses as
-    {!Batchbench}. *)
+    several worker counts against one prewarmed session (the shape of
+    [diagnose --batch-dir]).  Worker counts are interleaved run by run
+    and speedups divide best (minimum) drain times, the same noise
+    defenses as {!Batchbench}.  One untimed pass also counts what the
+    drain simulated, which must be nothing. *)
 
 type sample = {
   workers : int;
   runs : int;
-  median_ms : float;  (** Lazy arm: full-queue drain, median of runs. *)
-  best_ms : float;  (** Lazy arm: minimum of the timed runs. *)
-  dps : float;  (** Lazy arm: diagnoses per second at the best drain. *)
-  speedup_vs_1 : float;
-      (** Lazy [best_ms] at 1 worker over lazy [best_ms] here. *)
-  prewarm_median_ms : float;  (** Frozen arm: median drain. *)
-  prewarm_best_ms : float;  (** Frozen arm: best drain. *)
-  prewarm_dps : float;  (** Frozen arm: diagnoses/sec at best drain. *)
-  prewarm_speedup : float;
-      (** Lazy [best_ms] over frozen [prewarm_best_ms], same workers. *)
+  median_ms : float;  (** Full-queue drain, median of runs. *)
+  best_ms : float;  (** Minimum of the timed runs. *)
+  dps : float;  (** Diagnoses per second at the best drain. *)
+  speedup_vs_1 : float;  (** [best_ms] at 1 worker over [best_ms] here. *)
 }
 
 type report = {
@@ -27,8 +19,16 @@ type report = {
   dies : int;
   repeats : int;
   prewarm_ms : float;
-      (** One-time {!Session.prewarm} sweep + freeze cost — amortises
+      (** One-time session build with the whole-pool arena — amortises
           over the die count (the rnd50k cold-start number). *)
+  misses : int;
+      (** ["cache.misses"] summed over the per-die run reports of one
+          drain: signatures a die simulated because the arena lacked
+          them.  Zero unless the sweep stopped covering some key. *)
+  explain_simulated : int;
+      (** ["sim.faults_simulated"] of a bare {!Explain.build_session}
+          per die, summed: zero when every matrix row replays from the
+          arena. *)
   samples : sample list;
   skipped_workers : int list;
       (** Requested arms with more workers than
@@ -53,16 +53,10 @@ val run :
     in [skipped_workers]. *)
 
 val best_speedup : report -> float
-(** Best lazy-arm [speedup_vs_1] over the {e timed} multi-worker arms —
-    what the regression gate floors ([min_volume_throughput]); [0.0]
-    when every multi-worker arm was skipped (single-core host), which
-    the gate treats as "no signal", not a regression. *)
-
-val best_prewarm_speedup : report -> float
-(** Best frozen-over-lazy throughput ratio across all worker counts —
-    what gate 6 floors ([min_prewarm_speedup]).  Near 1.0 on one core
-    (uncontended mutex ops are cheap); the win appears with real
-    cores. *)
+(** Best [speedup_vs_1] over the {e timed} multi-worker arms — what the
+    regression gate floors ([min_volume_throughput]); [0.0] when every
+    multi-worker arm was skipped (single-core host), which the gate
+    treats as "no signal", not a regression. *)
 
 val to_table : report -> Table.t
 val json_of_report : report -> string

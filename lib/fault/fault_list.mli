@@ -11,9 +11,9 @@
     Every fold is behaviorally exact — class members produce the same
     PO response on every pattern — which is what lets the diagnosis
     layer simulate one matrix row per class ({!Explain.build}'s
-    equivalence-class prune) and key the cross-phase signature cache
-    ([Sig_cache]) by {!representative_of}, sharing entries between the
-    explanation matrix and the single-fault/dictionary baselines
+    equivalence-class prune) and key the signature arena ([Sig_cache])
+    by {!representative_of}, sharing entries between the explanation
+    matrix and the single-fault/dictionary baselines
     (soundness argument in DESIGN.md §10). *)
 
 type fault = { site : Netlist.net; stuck : bool }

@@ -119,7 +119,7 @@ val detects :
     The pass is exact: for every entry point below the masked PO diff
     words are bit-identical to the corresponding scalar sweep (and, for
     multi-site pins, to [Logic_sim.simulate_block_overlay] under the
-    equivalent overrides), so signature-cache entries and paper tables
+    equivalent overrides), so signature-arena entries and paper tables
     are byte-compatible whichever path produced them. *)
 
 type batch

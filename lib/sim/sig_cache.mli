@@ -1,13 +1,13 @@
-(** Cross-phase fault-signature cache.
+(** Per-problem fault-signature arena.
 
     Every diagnosis phase — the explanation matrix, the single-fault and
     dictionary baselines, and each campaign trial — fault-simulates the
     same stuck lines against the same circuit and test set.  The result
     of one such simulation depends only on [(netlist, pattern set,
-    site, polarity)], never on the datalog, so it is memoised here once
-    and replayed everywhere else.
+    site, polarity)], never on the datalog, so a session that expects
+    many diagnoses computes the whole fault pool once and keeps it here.
 
-    A cached signature is the flat triple list
+    A signature is the flat triple list
     [(block index, PO position, diff word); ...] exactly as
     {!Fault_sim.iter_po_diffs} reports it block by block: blocks
     ascending, PO positions ascending within a block, only non-zero
@@ -15,176 +15,78 @@
     matrix without touching the simulator and expands into the
     per-output {!Bitvec.t} signatures the baselines consume.
 
-    Concurrency and determinism: instances are shared across domains.
-    The cache is {e two-tier} (DESIGN.md §12).  The mutable tier —
-    buckets sharded under per-shard mutexes, so concurrent probes and
-    stores never block the whole cache — is the write path and serves
-    every read until {!freeze} publishes the frozen tier: an immutable,
-    densely indexed snapshot ([key ~site ~stuck] is the array index —
-    no hashing) that answers reads with no synchronization beyond one
-    [Atomic.get].  Keys absent from the snapshot fall through to the
-    mutable tier, which keeps accepting writes after the freeze.  A
-    key's value is a pure function of the problem, so whatever
-    interleaving wins a store race, every reader sees the same
-    triples — results of cached computations are bit-identical to
-    uncached ones for every domain count and whether or not a freeze
-    intervened.  Only the hit/miss {e counters} depend on scheduling
-    when several domains race on a cold key.
-
-    Memory is bounded per instance: each shard of the {e mutable} tier
-    evicts in insertion (FIFO) order once its share of the word budget
-    ({!default_budget_mb} unless [?budget_mb] overrides it; the
-    [MDD_SIG_CACHE_MB] environment variable is resolved once at CLI
-    startup, not here) is exceeded.  Eviction only ever costs a
-    re-simulation.  The frozen tier is exempt: it snapshots whatever
-    the mutable tier holds at {!freeze} time and never grows.
-
-    There is no process-wide on/off switch: a phase that holds an
-    instance caches, a phase handed none simulates directly.
-    [Diag.Session] makes that choice once per engine from its config
-    record.  Counters (DESIGN.md §9): ["cache.hits"],
-    ["cache.misses"], ["cache.frozen_hits"], ["cache.evictions"],
-    ["cache.instances"]. *)
+    An arena is immutable (DESIGN.md §12): one contiguous bit-packed
+    byte slab with a flat per-key offset index ([key ~site ~stuck] is
+    the array index — no hashing) and a presence bitmap.  It is built
+    once, by {!of_entries} from a whole-pool sweep or by
+    {!load_frozen} from a disk snapshot, and never written again, so any
+    number of domains read it with no synchronization at all.  Reads
+    touch no counters; [Diag.Session] counts the probes it makes
+    (["cache.frozen_hits"], ["cache.misses"]).  Building or loading an
+    arena adds its resident size to ["cache.frozen_bytes"]. *)
 
 type t
-(** One per-(netlist, pattern-set) cache instance.  Instances live in a
-    small process-global registry keyed by physical equality of the
-    netlist and pattern set, so repeated {!for_problem} calls — e.g.
-    campaign trials sharing one circuit — share one instance. *)
-
-val for_problem : ?budget_mb:int -> Netlist.t -> Pattern.t -> t
-(** The instance for this problem, created on first use.  Creation
-    computes the good-machine words of every block eagerly (they are
-    shared by all phases through {!goods}).  The registry holds at most
-    four instances, evicted least-recently-used: a {!for_problem} hit
-    refreshes an instance's recency, a miss that creates a fifth
-    instance drops the stalest.  The live count is the
-    ["cache.instances"] counter.  [budget_mb] only applies when this
-    call creates the instance. *)
-
-val goods : t -> Logic_sim.net_values array
-(** Good-machine words of every block, in [Pattern.blocks] order.
-    Read-only; shared across domains. *)
-
-val blocks : t -> Pattern.block array
-(** The pattern blocks, in [Pattern.blocks] order. *)
 
 val key : site:Netlist.net -> stuck:bool -> int
-(** Canonical bucket key of a stuck fault ([2*site + stuck]).  Callers
-    that collapse equivalence classes should key by the class
-    representative so all phases share one entry per class. *)
+(** Canonical key of a stuck fault ([2*site + stuck]).  Callers that
+    collapse equivalence classes key by the class representative so all
+    phases share one entry per class. *)
 
-val find : t -> int -> int array option
-(** Cached triples for a key.  After {!freeze}, keys in the snapshot
-    are answered lock-free (bumping ["cache.frozen_hits"]); all other
-    probes go through the shard mutex and bump the hit/miss
-    counters. *)
+val of_entries : Netlist.t -> Pattern.t -> (int * int array) array -> t
+(** Pack [(key, triples)] entries into an arena for this problem.  Keys
+    outside [0, 2 * num_nets) are ignored; on a duplicate key the last
+    entry wins (values are pure functions of the key, so the choice is
+    cosmetic). *)
 
-val peek : t -> int -> int array option
-(** {!find} without touching any counter — for warm-up sweeps probing
-    which keys are still cold ([Session.prewarm]), so the hit/miss
-    split only ever reflects probes a diagnosis actually made. *)
-
-type probe_result =
-  | Frozen  (** In the frozen arena — stream it with {!iter_frozen}. *)
-  | Warm of int array  (** In the mutable tier (the shared boxed array). *)
-  | Cold  (** Not cached. *)
-
-val probe : t -> int -> probe_result
-(** Where a key lives, with {!find}'s counter semantics but {e without}
-    decoding the frozen arena — [Frozen] answers from the presence
-    bitmap alone.  Replay loops that consume triples one at a time pair
-    this with {!iter_frozen} and never allocate; callers that need the
-    whole array use {!find}.  A [Warm] array is shared, so holding it
-    keeps the row immune to FIFO eviction between probe and use. *)
+val mem : t -> int -> bool
+(** Whether the arena holds an entry for the key — from the presence
+    bitmap alone, without decoding.  A key can hold zero triples (a
+    fault that diffs nowhere). *)
 
 val iter_frozen : t -> int -> (int -> int -> int -> unit) -> unit
-(** Stream one frozen key's triples as [f block po_word diff_word]
-    calls, in canonical order, decoding straight out of the arena with
-    no allocation.  The key must be in the frozen tier (a {!probe} that
-    answered [Frozen] — the tier is immutable, so the answer cannot go
-    stale); raises [Invalid_argument] otherwise.  Touches no
-    counters. *)
+(** Stream one key's triples as [f block po_word diff_word] calls, in
+    canonical order, decoding straight out of the slab with no
+    allocation.  Raises [Invalid_argument] unless {!mem} holds. *)
 
-val freeze : ?extra:(int * int array) array -> t -> unit
-(** Pack the mutable tier into the frozen arena and publish it: one
-    contiguous byte slab of varint-delta-encoded triples with a flat
-    per-key offset index (no hashing, no per-key boxing — DESIGN.md
-    §12), read by {!find}/{!peek} with no locks (one [Atomic.get]
-    publishes the arena safely across domains; the bytes are never
-    written again).  [extra] entries are packed as well, {e without}
-    passing through the mutable tier or its eviction budget —
-    [Session.prewarm] hands its whole-pool sweep results here so a
-    100k-fault pool freezes complete instead of FIFO-evicting mid-sweep.
-    The mutable tier stays live for keys the arena lacks — stores after
-    the freeze land there and are still found.  Idempotent; re-freezing
-    re-snapshots.  Publishes the arena footprint as the
-    ["cache.frozen_bytes"] counter. *)
-
-val is_frozen : t -> bool
-(** Whether {!freeze} or {!load_frozen} has published a frozen tier on
-    this instance. *)
+val find : t -> int -> int array option
+(** A key's triples, decoded into a fresh array. *)
 
 val frozen_bytes : t -> int
-(** Resident footprint of the published arena in bytes (slab + offset
-    index + presence bitmap); 0 before a freeze. *)
+(** Resident footprint in bytes (slab + offset index + presence
+    bitmap). *)
 
 val frozen_boxed_bytes : t -> int
-(** What the pre-arena boxed representation ([int array option array])
-    of the same entries would occupy, in bytes — the packing ratio's
-    denominator, quoted by [bench store]. *)
+(** What a boxed representation ([int array option array]) of the same
+    entries would occupy, in bytes — the packing ratio's denominator,
+    quoted by [bench store]. *)
 
 (** {1 Disk snapshots}
 
-    The frozen arena is position-independent bytes, so it doubles as an
-    on-disk format: a volume fleet pays the whole-pool prewarm sweep
-    once per (netlist, pattern set) and every later process adopts the
-    arena with zero simulation.  Files are named by a digest of the
-    netlist structure and validated against a header carrying the
-    encode version and a digest of (netlist structure, pattern set) —
-    plus a content digest over the body — so a snapshot either
-    reproduces the live sweep byte for byte or is rejected (counter
-    ["store.rejects"]) and the caller falls back to prewarming.
-    Counters: ["store.saves"], ["store.loads"], ["store.rejects"]. *)
+    The arena is position-independent bytes, so it doubles as an
+    on-disk format: a volume fleet pays the whole-pool sweep once per
+    (netlist, pattern set) and every later process adopts the arena
+    with zero simulation.  Files are named by a digest of the netlist
+    structure and validated against a header carrying the encode
+    version and a digest of (netlist structure, pattern set) — plus a
+    content hash over the body — so a snapshot either reproduces the
+    live sweep byte for byte or is rejected (counter ["store.rejects"])
+    and the caller falls back to sweeping.  Counters: ["store.saves"],
+    ["store.loads"], ["store.rejects"]. *)
 
 val save_frozen : dir:string -> t -> bool
-(** Write the published arena under [dir] (created if missing),
-    atomically (temp file + rename).  False when nothing is frozen yet
-    or the write failed; true bumps ["store.saves"]. *)
+(** Write the arena under [dir], creating it and any missing parent
+    directories, atomically (temp file + rename).  True bumps
+    ["store.saves"]; false means the write failed. *)
 
-val load_frozen : dir:string -> t -> bool
-(** Read, validate and publish a snapshot from [dir] as this instance's
-    frozen tier — no simulation.  False when no file exists (a cold
-    fleet, not counted) or validation rejected it (truncation, foreign
-    magic, stale encode version, problem-digest mismatch, body
-    corruption — each bumping ["store.rejects"]); the instance is left
-    exactly as it was, so the caller's live-prewarm fallback sees a
-    clean cache.  True bumps ["store.loads"]. *)
+val load_frozen : ?keys:int array -> dir:string -> Netlist.t -> Pattern.t -> t option
+(** Read and validate this problem's snapshot from [dir] — no
+    simulation.  [None] when no file exists (a cold fleet, not counted)
+    or validation rejected it (truncation, foreign magic, stale encode
+    version, problem-digest mismatch, body corruption, or an arena
+    lacking one of [keys] — the keys the caller will probe, default
+    none — each bumping ["store.rejects"]).  [Some] bumps
+    ["store.loads"]. *)
 
-val store_path : dir:string -> t -> string
+val store_path : dir:string -> Netlist.t -> string
 (** The snapshot file {!save_frozen}/{!load_frozen} use for this
-    problem under [dir] (exposed for tests and tooling). *)
-
-val store : t -> int -> int array -> unit
-(** Insert (or overwrite) a key's triples, evicting FIFO-oldest entries
-    of the shard past its budget share.  The array is owned by the
-    cache afterwards; do not mutate it. *)
-
-val lookup : t -> Fault_sim.t -> site:Netlist.net -> stuck:bool -> int array
-(** [find] under {!key}, computing the triples with the given simulator
-    (and storing them) on a miss.  The simulator must belong to the
-    calling domain. *)
-
-val signature_of_triples : t -> int array -> Bitvec.t array
-(** Expand triples into the per-PO, bit-per-pattern signature shape of
-    {!Fault_sim.signature}. *)
-
-val default_budget_mb : int
-(** The instance budget (64 MB) used when [?budget_mb] is not given.
-    A plain constant: the [MDD_SIG_CACHE_MB] environment override is
-    resolved once at CLI startup into the session config
-    ([Cli_common.session_config]), never read here. *)
-
-val clear : unit -> unit
-(** Drop every instance from the registry (entries become unreachable).
-    For benchmarks that must measure the cold path and for tests. *)
+    netlist under [dir] (exposed for tests and tooling). *)

@@ -48,33 +48,16 @@ let popcount_word w =
   let rec go acc w = if w = 0 then acc else go (acc + 1) (w land (w - 1)) in
   go 0 w
 
-(* Branchy binary search beats the naive shift-one-at-a-time loop by a
-   large factor on sparse high bits and is portable (no unboxed int64
-   multiply for a de Bruijn table on the 63-bit tagged int). *)
+(* Index of the lowest set bit of a non-zero word: isolate it, convert
+   the power of two to a float (exact for every bit, including the
+   sign bit, which converts to -2^62) and read the exponent field.
+   Branch-free: the matrix fill calls this once per error bit, where a
+   binary search over the word mispredicts on nearly every call. *)
 let ctz_word w =
-  let n = ref 0 and v = ref w in
-  if !v land 0xFFFFFFFF = 0 then begin
-    n := !n + 32;
-    v := !v lsr 32
-  end;
-  if !v land 0xFFFF = 0 then begin
-    n := !n + 16;
-    v := !v lsr 16
-  end;
-  if !v land 0xFF = 0 then begin
-    n := !n + 8;
-    v := !v lsr 8
-  end;
-  if !v land 0xF = 0 then begin
-    n := !n + 4;
-    v := !v lsr 4
-  end;
-  if !v land 0x3 = 0 then begin
-    n := !n + 2;
-    v := !v lsr 2
-  end;
-  if !v land 0x1 = 0 then incr n;
-  !n
+  let b = w land -w in
+  (Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float (Float.of_int b)) 52)
+   land 0x7ff)
+  - 1023
 
 let popcount t = Array.fold_left (fun acc w -> acc + popcount_word w) 0 t.words
 

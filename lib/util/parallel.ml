@@ -171,8 +171,8 @@ let parallel_for ?domains n body =
 
 (* Merge adjacent chunks until each (except possibly the only one left)
    carries at least [min_w] weight.  Cache-aware callers use this to
-   keep a near-empty residue — e.g. the few candidates that missed a
-   warm signature cache — from fanning out across domains whose spawns
+   keep a near-empty residue — e.g. the few candidates a signature
+   arena lacked — from fanning out across domains whose spawns
    cost more than the work. *)
 let merge_small_chunks weights min_w chunks =
   if min_w <= 0 then chunks

@@ -84,8 +84,8 @@ val weighted_chunks :
 
     [min_chunk_weight] (default 0: off) merges adjacent chunks until
     each carries at least that much weight — so a batch left almost
-    empty by an upstream screen (e.g. candidates that hit a warm
-    signature cache) collapses to one or two chunks and runs inline
+    empty by an upstream screen (e.g. candidates replayed from a
+    signature arena) collapses to one or two chunks and runs inline
     instead of paying domain spawns that dwarf the work.
 
     [max_chunk_size] (default: unbounded) splits any chunk longer than

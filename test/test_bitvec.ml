@@ -127,6 +127,26 @@ let qcheck_ops_vs_reference =
       && Bitvec.to_list i = List.filter (fun x -> List.mem x ys) xs
       && Bitvec.to_list d = List.filter (fun x -> not (List.mem x ys)) xs)
 
+(* Lowest set bit against a shift loop: every single-bit word (the
+   sign bit included) and random words with the low bits cleared. *)
+let naive_ctz w =
+  let rec go n = if (w lsr n) land 1 = 1 then n else go (n + 1) in
+  go 0
+
+let test_ctz_single_bits () =
+  for k = 0 to Sys.int_size - 1 do
+    Alcotest.(check int) (Printf.sprintf "bit %d" k) k (Bitvec.ctz_word (1 lsl k))
+  done;
+  Alcotest.(check int) "all ones" 0 (Bitvec.ctz_word (-1));
+  Alcotest.(check int) "min_int" (Sys.int_size - 1) (Bitvec.ctz_word min_int)
+
+let qcheck_ctz =
+  QCheck.Test.make ~name:"ctz_word matches shift loop" ~count:1000
+    QCheck.(pair int (int_range 0 62))
+    (fun (w, k) ->
+      let w = (w lor 1) lsl k in
+      Bitvec.ctz_word w = naive_ctz w)
+
 let suite =
   [
     ( "bitvec",
@@ -145,5 +165,7 @@ let suite =
         Alcotest.test_case "pp" `Quick test_pp;
         QCheck_alcotest.to_alcotest qcheck_vs_reference;
         QCheck_alcotest.to_alcotest qcheck_ops_vs_reference;
+        Alcotest.test_case "ctz_word every single bit" `Quick test_ctz_single_bits;
+        QCheck_alcotest.to_alcotest qcheck_ctz;
       ] );
   ]

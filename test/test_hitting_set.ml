@@ -92,7 +92,6 @@ let prop_seeded_never_larger =
         | _ -> true))
 
 let cold_session cover =
-  Sig_cache.clear ();
   Session.create
     ~config:{ Session.default_config with Session.domains = Some 1; cover }
     (Lazy.force c17) (Lazy.force c17_pats)
@@ -155,7 +154,6 @@ let test_budget_fallback_byte_identity () =
   | None -> Alcotest.fail "no failing c17 datalog"
   | Some dlog ->
     let greedy_r = Noassume.diagnose_session (cold_session Session.Greedy) dlog in
-    Sig_cache.clear ();
     let starved =
       Session.create
         ~config:

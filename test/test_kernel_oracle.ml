@@ -178,9 +178,9 @@ let prop_signature_goods_equivalent =
 
 (* [simulate_batch] must produce, fault by fault, exactly the masked
    diff words of the per-fault per-block scalar sweep — the property
-   that makes batch-filled [Sig_cache] rows replayable by either path.
-   150 patterns gives two full blocks plus a partial one, so the tail
-   mask is exercised. *)
+   that makes a batch-swept [Sig_cache] arena equal to the scalar
+   reference.  150 patterns gives two full blocks plus a partial one,
+   so the tail mask is exercised. *)
 let prop_simulate_batch_matches_scalar =
   QCheck.Test.make
     ~name:"simulate_batch matches per-fault per-block scalar sweep" ~count:20
@@ -248,14 +248,16 @@ let prop_batch_delta_matches_scalar =
         blocks;
       got = want)
 
-(* --- evaluate_multiplet: batched = per-fault ------------------------ *)
+(* --- evaluate_multiplet: batched = overlay resimulation ------------ *)
 
-(* Whole-multiplet scoring must not depend on which kernel ran it.  Odd
-   seeds pin one site at both polarities, the byzantine (value-flip)
-   overlay case with its own batch code path. *)
+(* Whole-multiplet scoring by the PPSFP delta sweep must equal
+   [Scoring.evaluate] of the same overlay, which resimulates every
+   block under the overrides.  Odd seeds pin one site at both
+   polarities, the byzantine (value-flip) overlay case with its own
+   batch code path. *)
 let prop_evaluate_multiplet_batch_identity =
   QCheck.Test.make
-    ~name:"evaluate_multiplet: batched = per-fault scores" ~count:12
+    ~name:"evaluate_multiplet: batched = per-block overlay Scoring.evaluate" ~count:12
     QCheck.(pair (int_range 1 100_000) (int_range 1 3))
     (fun (seed, multiplicity) ->
       let net, pats, dlog = random_problem seed multiplicity in
@@ -276,10 +278,10 @@ let prop_evaluate_multiplet_batch_identity =
           :: faults
         else faults
       in
-      let score b = Scoring.evaluate_multiplet ~domains:1 ~batch:b net pats dlog faults in
-      score true = score false)
+      Scoring.evaluate_multiplet net pats dlog faults
+      = Scoring.evaluate ~domains:1 net pats dlog (Scoring.overlay_of_multiplet faults))
 
-(* --- Explain.build: batched = per-fault, cold shared cache ---------- *)
+(* --- Explain: batched = per-fault reference = arena replay ---------- *)
 
 let explain_equal m1 m2 =
   let c1 = Explain.candidates m1 and c2 = Explain.candidates m2 in
@@ -305,38 +307,37 @@ let explain_equal m1 m2 =
             !ok)
           c1)
 
-(* The same-binary A/B the benchmarks rely on: with a cold shared
-   [Sig_cache] and four domains racing to fill it, the batched build,
-   the per-fault build, and a warm replay of either must produce
-   identical matrices. *)
+(* The same-binary A/B the benchmarks rely on: the batched build at
+   four domains, the per-fault reference [Explain_ref] (what
+   [bench batch] times it against), and a replay from a prewarmed
+   session's arena must produce identical matrices, pruned or not. *)
 let prop_explain_batch_ab_identity =
   QCheck.Test.make
-    ~name:"Explain.build: batched = per-fault = warm replay (4 domains)"
+    ~name:"Explain.build: batched = per-fault reference = arena replay (4 domains)"
     ~count:8
-    QCheck.(pair (int_range 1 100_000) (int_range 1 3))
-    (fun (seed, multiplicity) ->
+    QCheck.(triple (int_range 1 100_000) (int_range 1 3) bool)
+    (fun (seed, multiplicity, prune) ->
       let net, pats, dlog = random_problem seed multiplicity in
       if Datalog.num_failing dlog = 0 then true
       else begin
-        (* Each build wraps the problem in a transient cache-on session;
-           [Sig_cache.for_problem] hands consecutive builds the shared
-           registry instance, so the second batched build replays warm. *)
-        let build b = Explain.build ~domains:4 ~cache:true ~batch:b net pats dlog in
-        Sig_cache.clear ();
-        let batched = build true in
-        let warm = build true in
-        Sig_cache.clear ();
-        let scalar = build false in
-        Sig_cache.clear ();
-        explain_equal batched scalar && explain_equal batched warm
+        let session prewarm =
+          Session.create
+            ~config:{ Session.default_config with Session.prune; prewarm; domains = Some 4 }
+            net pats
+        in
+        let cold = session false in
+        let batched = Explain.build_session cold dlog in
+        let reference = Explain_ref.build cold dlog (Explain.candidates batched) in
+        let replayed = Explain.build_session (session true) dlog in
+        Explain_ref.agrees batched reference && explain_equal batched replayed
       end)
 
-(* --- Packed frozen arena against scalar-computed triples ------------ *)
+(* --- Packed arena against scalar-computed triples -------------------- *)
 
-(* The frozen tier answers [find] by decoding the varint arena and
-   [iter_frozen] by streaming it; both must reproduce, bit for bit, the
-   triples the scalar simulator computed into the mutable tier — and
-   still must after a save/load cycle replaces the arena with bytes
+(* A prewarmed session's arena — filled by the batched sweep — must
+   decode, through [find] and through the streaming [iter_frozen], to
+   exactly the triples the scalar simulator computes, fault by fault;
+   and still must after a save/load cycle replaces the arena with bytes
    read back from disk. *)
 let prop_packed_arena_matches_scalar =
   QCheck.Test.make
@@ -346,32 +347,36 @@ let prop_packed_arena_matches_scalar =
     (fun seed ->
       let net = Generators.random_logic ~gates:(40 + (seed mod 60)) ~pis:6 ~pos:5 ~seed in
       let pats = Pattern.random (Rng.create (seed * 3)) ~npis:6 ~count:70 in
-      Sig_cache.clear ();
-      let c = Sig_cache.for_problem net pats in
+      let session =
+        Session.create ~config:{ Session.default_config with Session.prewarm = true } net pats
+      in
+      let arena = Option.get (Session.cache session) in
       let sim = Fault_sim.create net in
-      let faults = Fault_list.representatives (Fault_list.collapse net) in
+      let blocks = Session.blocks session and goods = Session.goods session in
       let reference =
         List.map
           (fun (f : Fault_list.fault) ->
-            let k = Sig_cache.key ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck in
-            ( k,
-              Array.copy
-                (Sig_cache.lookup c sim ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck)
-            ))
-          faults
+            let acc = ref [] in
+            Array.iteri
+              (fun bi (block : Pattern.block) ->
+                Fault_sim.iter_po_diffs sim ~good:goods.(bi) ~width:block.width
+                  ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck (fun oi w ->
+                    acc := w :: oi :: bi :: !acc))
+              blocks;
+            ( Sig_cache.key ~site:f.Fault_list.site ~stuck:f.Fault_list.stuck,
+              Array.of_list (List.rev !acc) ))
+          (Fault_list.representatives (Fault_list.collapse net))
       in
-      Sig_cache.freeze c;
-      let agrees cache =
+      let agrees a =
         List.for_all
           (fun (k, triples) ->
-            let decoded = Sig_cache.find cache k = Some triples in
+            let decoded = Sig_cache.find a k = Some triples in
             let streamed =
-              match Sig_cache.probe cache k with
-              | Sig_cache.Frozen ->
-                let buf = ref [] in
-                Sig_cache.iter_frozen cache k (fun bi oi w -> buf := w :: oi :: bi :: !buf);
-                Array.of_list (List.rev !buf) = triples
-              | Sig_cache.Warm _ | Sig_cache.Cold -> false
+              Sig_cache.mem a k
+              &&
+              let buf = ref [] in
+              Sig_cache.iter_frozen a k (fun bi oi w -> buf := w :: oi :: bi :: !buf);
+              Array.of_list (List.rev !buf) = triples
             in
             decoded && streamed)
           reference
@@ -379,14 +384,9 @@ let prop_packed_arena_matches_scalar =
       let dir = Filename.temp_file "mddoracle" "" in
       Sys.remove dir;
       Unix.mkdir dir 0o755;
-      let saved = Sig_cache.save_frozen ~dir c in
-      let in_memory = agrees c in
-      Sig_cache.clear ();
-      let c2 = Sig_cache.for_problem net pats in
-      let loaded = Sig_cache.load_frozen ~dir c2 in
-      let from_disk = agrees c2 in
-      Sig_cache.clear ();
-      saved && loaded && in_memory && from_disk)
+      let saved = Sig_cache.save_frozen ~dir arena in
+      let loaded = Sig_cache.load_frozen ~dir net pats in
+      saved && agrees arena && match loaded with Some a -> agrees a | None -> false)
 
 let suite =
   [

@@ -186,7 +186,8 @@ let prop_scoring_identical_across_domains =
               stuck = Rng.bool rng;
             })
       in
-      let s d = Scoring.evaluate_multiplet ~domains:d net pats dlog faults in
+      let overlay = Scoring.overlay_of_multiplet faults in
+      let s d = Scoring.evaluate ~domains:d net pats dlog overlay in
       let s1 = s 1 in
       List.for_all (fun d -> s d = s1) [ 2; 3; 8 ])
 

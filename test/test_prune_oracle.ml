@@ -1,8 +1,8 @@
-(* Oracle for the exactness-preserving prunes and the cross-phase
-   signature cache: with pruning and caching on, every diagnosis report
-   must be byte-identical to the unpruned, uncached reference — on random
-   circuits, all defect kinds, multiplicities 1-4 — and a shared cache
-   hammered from several domains at once must not change any result. *)
+(* Oracle for the exactness-preserving prunes and the signature arena:
+   with pruning on and a prewarmed arena, every diagnosis report must be
+   byte-identical to the unpruned reference without an arena — on
+   random circuits, all defect kinds, multiplicities 1-4 — and one arena
+   read from several domains at once must not change any result. *)
 
 let random_problem seed multiplicity =
   let gates = 30 + (seed mod 150) in
@@ -16,13 +16,10 @@ let random_problem seed multiplicity =
   let dlog = Datalog.of_responses ~expected ~observed in
   (net, pats, dlog)
 
-(* A session with the given prune/cache choices, from a cold cache:
-   clearing the registry first means [Session.create] builds a fresh
-   cache instance instead of adopting a warm shared one.  No process
-   state to restore — the switches live in the session config now. *)
+(* A session with the given prune choice; [cache] builds the whole-pool
+   arena at creation. *)
 let cold_session ~prune ~cache net pats =
-  Sig_cache.clear ();
-  Session.create ~config:{ Session.default_config with Session.prune; cache } net pats
+  Session.create ~config:{ Session.default_config with Session.prune; prewarm = cache } net pats
 
 let prop_noassume_report_identical =
   QCheck.Test.make
@@ -52,8 +49,8 @@ let prop_matrix_rows_match =
     QCheck.(pair (int_range 1 100_000) (int_range 1 4))
     (fun (seed, multiplicity) ->
       let net, pats, dlog = random_problem seed multiplicity in
-      let mp = Explain.build ~prune:true ~cache:false net pats dlog in
-      let mu = Explain.build ~prune:false ~cache:false net pats dlog in
+      let mp = Explain.build ~prune:true net pats dlog in
+      let mu = Explain.build ~prune:false net pats dlog in
       let nfp = Array.length (Explain.failing mp) in
       let rows_equal cp cu =
         Bitvec.equal (Explain.covers mp cp) (Explain.covers mu cu)
@@ -110,10 +107,9 @@ let prop_single_and_slat_reports_identical =
         && String.equal (slat ~prune:true ~cache:true) (slat ~prune:false ~cache:false)
       end)
 
-(* Several domains race on one cold shared cache, each running a full
-   diagnosis of the same problem.  Whoever loses a store race recomputes
-   or overwrites with the identical value, so every domain must still
-   produce the reference report. *)
+(* Several domains read one shared arena at once, each running a full
+   diagnosis of the same problem; every domain must produce the report
+   of a session without an arena. *)
 let test_concurrent_shared_cache () =
   let net, pats, dlog = random_problem 4242 3 in
   Alcotest.(check bool) "problem has failures" true (Datalog.num_failing dlog > 0);
@@ -123,10 +119,8 @@ let test_concurrent_shared_cache () =
          ~config:{ Noassume.default_config with domains = Some 1 }
          session dlog)
   in
-  let reference = diagnose (cold_session ~prune:true ~cache:true net pats) () in
+  let reference = diagnose (cold_session ~prune:true ~cache:false net pats) () in
   for round = 1 to 3 do
-    (* A fresh session per round re-creates the cache instance cold, so
-       the four domains race on an empty shared cache every time. *)
     let session = cold_session ~prune:true ~cache:true net pats in
     let workers = Array.init 4 (fun _ -> Domain.spawn (diagnose session)) in
     Array.iteri
@@ -135,8 +129,7 @@ let test_concurrent_shared_cache () =
           (Printf.sprintf "round %d worker %d" round i)
           reference (Domain.join d))
       workers
-  done;
-  Sig_cache.clear ()
+  done
 
 let suite =
   [
