@@ -32,7 +32,10 @@ let serve_arg =
   let doc =
     "Service mode: load the session once, then read datalog file paths from \
      stdin (one per line) and emit one JSON report line per die on stdout \
-     (or into --out DIR when given) until EOF."
+     (or into --out DIR when given) until EOF.  A die whose datalog cannot \
+     be read or parsed gets a line (or file) with `\"status\": \"input_error\"' \
+     and the message instead, and serving goes on; the exit code is then 1 \
+     once stdin ends."
   in
   Arg.(value & flag & info [ "serve" ] ~doc)
 
@@ -65,11 +68,7 @@ let no_validate_arg =
   let doc = "Disable multiplet validation/refinement (ablation)." in
   Arg.(value & flag & info [ "no-validate" ] ~doc)
 
-let read_file path =
-  let ic = open_in path in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  text
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let run bench suite patterns_file datalog_file batch_dir serve workers out method_
     no_validate no_prune prewarm cover cover_budget store_dir domains stats =
@@ -96,6 +95,7 @@ let run bench suite patterns_file datalog_file batch_dir serve workers out metho
     match (suite, bench) with Some s, _ -> s | None, Some b -> b | None, None -> ""
   in
   let config = { Noassume.default_config with validate = not no_validate; domains } in
+  let exit_code = ref 0 in
   let mode_meta =
     match (batch_dir, serve) with
     | Some dir, _ ->
@@ -127,31 +127,47 @@ let run bench suite patterns_file datalog_file batch_dir serve workers out metho
       (* --- Serve mode: datalog paths on stdin, reports out. -------- *)
       let die_config = { config with Noassume.domains = Some 1 } in
       let n = ref 0 in
+      let input_errors = ref 0 in
+      let emit name json status =
+        (match out with
+        | Some dir ->
+          if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+          Out_channel.with_open_bin (Filename.concat dir (name ^ ".json")) (fun oc ->
+              output_string oc json);
+          Printf.printf "%s: %s\n" name status
+        | None -> print_string json);
+        flush stdout
+      in
       (try
          while true do
            let path = String.trim (input_line stdin) in
            if path <> "" then begin
              let name = Filename.remove_extension (Filename.basename path) in
-             let dlog = Cli_common.or_die (parse_dlog (read_file path)) in
-             let r =
-               Volume.diagnose_die ~config:die_config session
-                 { Volume.name; dlog }
+             (* A die that cannot be read or parsed fails alone. *)
+             let dlog =
+               match parse_dlog (read_file path) with
+               | Ok dlog -> Ok dlog
+               | Error msg -> Error (path ^ ": " ^ msg)
+               | exception Sys_error msg -> Error msg
+               | exception Invalid_argument msg -> Error (path ^ ": " ^ msg)
              in
-             incr n;
-             let json = Volume.die_json r in
-             (match out with
-             | Some dir ->
-               if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-               let oc = open_out (Filename.concat dir (name ^ ".json")) in
-               output_string oc json;
-               close_out oc;
-               Printf.printf "%s: done\n%!" name
-             | None -> print_string json);
-             flush stdout
+             match dlog with
+             | Ok dlog ->
+               let r = Volume.diagnose_die ~config:die_config session { Volume.name; dlog } in
+               incr n;
+               emit name (Volume.die_json r) "done"
+             | Error msg ->
+               incr input_errors;
+               emit name (Volume.input_error_json ~die:name msg) "input_error"
            end
          done
        with End_of_file -> ());
-      [ ("mode", "serve"); ("dies", string_of_int !n) ]
+      if !input_errors > 0 then exit_code := 1;
+      [
+        ("mode", "serve");
+        ("dies", string_of_int !n);
+        ("input_errors", string_of_int !input_errors);
+      ]
     | None, false ->
       (* --- Single-shot mode. --------------------------------------- *)
       let datalog_file =
@@ -200,7 +216,8 @@ let run bench suite patterns_file datalog_file batch_dir serve workers out metho
     ~meta:
       ([ ("tool", "diagnose"); ("circuit", circuit) ]
       @ mode_meta
-      @ Cli_common.config_meta scfg)
+      @ Cli_common.config_meta scfg);
+  !exit_code
 
 let cmd =
   let doc = "locate multiple defects from tester datalogs" in
@@ -228,4 +245,4 @@ let cmd =
       $ Cli_common.cover_arg $ Cli_common.cover_budget_arg $ Cli_common.store_dir_arg
       $ Cli_common.domains_arg $ Cli_common.stats_arg)
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cmd.eval' cmd)

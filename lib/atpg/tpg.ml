@@ -28,6 +28,7 @@ let detect_map t pats faults =
   detected
 
 let generate ?(seed = 1) ?(random_budget = 252) ?(backtrack_limit = 512) t =
+  Obs.phase "atpg.generate" @@ fun () ->
   let rng = Rng.create seed in
   let collapsed = Fault_list.collapse t in
   let faults = Array.of_list (Fault_list.representatives collapsed) in
@@ -107,6 +108,7 @@ let generate ?(seed = 1) ?(random_budget = 252) ?(backtrack_limit = 512) t =
 
 let generate_ndetect ?(seed = 1) ?(backtrack_limit = 512) ~n t =
   assert (n >= 1);
+  Obs.phase "atpg.generate" @@ fun () ->
   let rng = Rng.create seed in
   let collapsed = Fault_list.collapse t in
   let faults = Array.of_list (Fault_list.representatives collapsed) in

@@ -177,6 +177,16 @@ let json_of_die r =
 
 let die_json r = Obs_json.to_string (json_of_die r) ^ "\n"
 
+let input_error_json ~die msg =
+  Obs_json.to_string
+    (Obs_json.Obj
+       [
+         ("die", Obs_json.Str die);
+         ("status", Obs_json.Str "input_error");
+         ("message", Obs_json.Str msg);
+       ])
+  ^ "\n"
+
 let rollup_json ru =
   let nets =
     List.map

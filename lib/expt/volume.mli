@@ -68,6 +68,11 @@ val die_json : die_result -> string
     per-die run report (timings off, so the text depends only on the
     session and the die). *)
 
+val input_error_json : die:string -> string -> string
+(** The line a service emits in place of {!die_json} when a die's
+    datalog cannot be read or parsed: the die name, [status]
+    ["input_error"] and the message. *)
+
 val rollup_json : rollup -> string
 
 val write_results : dir:string -> Session.t -> die_result list -> rollup

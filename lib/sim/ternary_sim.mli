@@ -1,9 +1,12 @@
 (** Three-valued (0/1/X) simulation.
 
-    Used by the ATPG engine (implications over partially assigned PIs)
-    and by X-path analysis: forcing X on a candidate site and checking
-    which outputs turn X bounds where that site could possibly propagate
-    — a standard over-approximation of error propagation. *)
+    A whole-netlist pass per call over [Gate.eval_v3].  Forcing X on a
+    candidate site and checking which outputs turn X ({!x_reach}) bounds
+    where that site could possibly propagate — a standard
+    over-approximation of error propagation.  PODEM does not use this
+    module: its implication is event-driven over the CSR views
+    ([Podem]).  The test suite's full-resimulation PODEM oracle runs on
+    it. *)
 
 val simulate : Netlist.t -> Logic.v3 array -> Logic.v3 array
 (** [simulate t pi_values] evaluates the circuit with the given PI

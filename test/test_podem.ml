@@ -121,6 +121,50 @@ let qcheck_random_circuits =
           | Podem.Untestable | Podem.Aborted -> true)
         (Fault_list.representatives collapsed))
 
+(* --- Differential oracle: event-driven engine vs full resimulation --- *)
+
+let same_result a b =
+  match (a, b) with
+  | Podem.Test p, Podem_ref.Test q -> p = q
+  | Podem.Untestable, Podem_ref.Untestable | Podem.Aborted, Podem_ref.Aborted -> true
+  | (Podem.Test _ | Podem.Untestable | Podem.Aborted), _ -> false
+
+(* The first collapsed fault on which the two engines disagree. *)
+let first_mismatch ?backtrack_limit ?fill_seed net =
+  List.find_opt
+    (fun fault ->
+      not
+        (same_result
+           (Podem.generate ?backtrack_limit ?fill_seed net fault)
+           (Podem_ref.generate ?backtrack_limit ?fill_seed net fault)))
+    (Fault_list.representatives (Fault_list.collapse net))
+
+let check_matches_ref ?backtrack_limit ?fill_seed name net =
+  match first_mismatch ?backtrack_limit ?fill_seed net with
+  | None -> ()
+  | Some fault ->
+    Alcotest.failf "%s: engines disagree on %s" name
+      (Format.asprintf "%a" (Fault_list.pp_fault net) fault)
+
+let qcheck_matches_ref =
+  QCheck.Test.make ~name:"podem matches the full-resimulation oracle (random circuits)"
+    ~count:24
+    QCheck.(quad (int_range 1 100_000) (int_range 0 2) (int_range 0 2) (int_range 0 3))
+    (fun (seed, size, limit, fill) ->
+      let gates, pis, pos = [| (40, 6, 4); (120, 10, 6); (300, 16, 8) |].(size) in
+      let net = Generators.random_logic ~gates ~pis ~pos ~seed in
+      let backtrack_limit = [| 1; 8; 128 |].(limit) in
+      let fill_seed = [| 7; 1; 12_345; 999_999 |].(fill) in
+      first_mismatch ~backtrack_limit ~fill_seed net = None)
+
+let test_suite_circuits_match_ref () =
+  List.iter
+    (fun name ->
+      let net = Option.get (Generators.find_suite name) in
+      check_matches_ref name net;
+      check_matches_ref ~backtrack_limit:1 ~fill_seed:3 name net)
+    [ "mult8"; "alu8"; "cla16" ]
+
 let suite =
   [
     ( "podem",
@@ -134,5 +178,8 @@ let suite =
         Alcotest.test_case "PI faults" `Quick test_pi_faults;
         Alcotest.test_case "deterministic" `Quick test_deterministic;
         QCheck_alcotest.to_alcotest qcheck_random_circuits;
+        Alcotest.test_case "mult8/alu8/cla16 match the oracle" `Quick
+          test_suite_circuits_match_ref;
+        QCheck_alcotest.to_alcotest qcheck_matches_ref;
       ] );
   ]

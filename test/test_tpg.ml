@@ -107,6 +107,46 @@ let test_ndetect_grows_with_n () =
   Alcotest.(check bool) "more patterns" true
     (Pattern.count p3.Tpg.patterns >= Pattern.count p1.Tpg.patterns)
 
+(* --- Pinned test sets (recorded before PODEM implication became
+   event-driven: the engine must keep them byte for byte). --- *)
+
+let md5_of_patterns pats = Digest.to_hex (Digest.string (Pattern.to_text pats))
+
+let test_canonical_rnd1k_pinned () =
+  let net = Option.get (Generators.find_suite "rnd1k") in
+  let r = Campaign.test_report net in
+  Alcotest.(check int) "total" 1850 r.Tpg.total_faults;
+  Alcotest.(check int) "untestable" 166 r.Tpg.untestable;
+  Alcotest.(check int) "aborted" 172 r.Tpg.aborted;
+  Alcotest.(check int) "patterns" 288 (Pattern.count r.Tpg.patterns);
+  Alcotest.(check string) "digest" "1800243af2fd595b96f86fd3597c13ce"
+    (md5_of_patterns r.Tpg.patterns)
+
+let test_ndetect_cmp16_pinned () =
+  let net = Option.get (Generators.find_suite "cmp16") in
+  let r = Tpg.generate_ndetect ~seed:1 ~n:3 net in
+  Alcotest.(check int) "patterns" 847 (Pattern.count r.Tpg.patterns);
+  Alcotest.(check string) "digest" "8b6b3347fcfdf53b79fba74b0b555b02"
+    (md5_of_patterns r.Tpg.patterns)
+
+(* The engine's counters are deterministic: nonzero, and the same for
+   two identical runs. *)
+let test_atpg_counters () =
+  let net = Option.get (Generators.find_suite "penc4") in
+  let names = [ "atpg.podem_calls"; "atpg.backtracks"; "atpg.gate_evals" ] in
+  let run () =
+    let sink = Obs.sink () in
+    ignore (Obs.with_sink sink (fun () -> Tpg.generate ~seed:1 net));
+    let snap = Obs.sink_snapshot sink in
+    ( List.map (fun name -> List.assoc name snap.Obs.counters) names,
+      List.exists (fun p -> p.Obs.p_name = "atpg.generate" && p.Obs.p_count = 1) snap.Obs.phases )
+  in
+  let first, phased = run () in
+  let second, _ = run () in
+  List.iter2 (fun name v -> if v <= 0 then Alcotest.failf "%s is %d" name v) names first;
+  Alcotest.(check (list int)) "identical across runs" first second;
+  Alcotest.(check bool) "atpg.generate phase" true phased
+
 let suite =
   [
     ( "tpg",
@@ -121,5 +161,9 @@ let suite =
         Alcotest.test_case "n-detect reaches n" `Quick test_ndetect_reaches_n;
         Alcotest.test_case "n-detect n=1" `Quick test_ndetect_1_equals_detect;
         Alcotest.test_case "n-detect grows with n" `Quick test_ndetect_grows_with_n;
+        Alcotest.test_case "rnd1k canonical test set pinned" `Quick
+          test_canonical_rnd1k_pinned;
+        Alcotest.test_case "cmp16 3-detect set pinned" `Quick test_ndetect_cmp16_pinned;
+        Alcotest.test_case "ATPG counters deterministic" `Quick test_atpg_counters;
       ] );
   ]
