@@ -8,12 +8,11 @@
      dune exec bench/main.exe -- --trials 30 table4
      dune exec bench/main.exe -- micro        # Bechamel kernels only
      dune exec bench/main.exe -- parallel     # domain scaling, writes
-                                              # BENCH_parallel.json
+                                              # BENCH_parallel.json and
+                                              # BENCH_stats.json
      dune exec bench/main.exe -- batch        # PPSFP batch vs per-fault
-                                              # reference per tier
-                                              # (MDD_BENCH_TIER=large for
-                                              # rnd10k/rnd50k), writes
-                                              # BENCH_batch.json
+                                              # reference per tier,
+                                              # writes BENCH_batch.json
      dune exec bench/main.exe -- volume       # volume-service throughput
                                               # at 1/2/4 workers, writes
                                               # BENCH_volume.json
@@ -22,9 +21,18 @@
                                               # BENCH_cover.json
      dune exec bench/main.exe -- store        # cold vs prewarm vs
                                               # snapshot-load first
-                                              # diagnose (MDD_BENCH_TIER=
-                                              # large adds rnd50k), writes
-                                              # BENCH_store.json *)
+                                              # diagnose, writes
+                                              # BENCH_store.json
+
+   The five timed groups share one runner ([Arms]): one untimed warm-up
+   per arm, then rounds that call every arm once, each call after
+   [Gc.full_major] and timed in wall-clock ms.
+
+   MDD_BENCH_TIER picks the circuits: unset or "default" for seconds of
+   work; "large" adds rnd10k/rnd50k to batch, rnd10k to cover and an
+   rnd50k point to volume and store (the weekly CI job); anything else
+   is a comma-separated list of suite or tier names for batch and
+   cover. *)
 
 let trials = ref 10
 let seed = ref 2024
@@ -45,27 +53,13 @@ type prepared = {
 }
 
 let prepare name =
-  let net =
-    match Generators.find_suite name with
-    | Some n -> n
-    | None -> failwith ("unknown circuit " ^ name)
+  let net, pats, dlogs =
+    Arms.problem ~patterns:`Test_set ~multiplicity:3 ~dies:1 ~seed:99 name
   in
-  let pats = Campaign.test_set net in
   let block = List.hd (Pattern.blocks pats) in
   let good = Logic_sim.simulate_block net block in
-  let rng = Rng.create 99 in
-  let expected = Logic_sim.responses net pats in
-  let rec make_dlog attempts =
-    if attempts = 0 then failwith "no failing combination found"
-    else
-      let defects = Injection.random_defects rng net Injection.default_mix 3 in
-      let observed = Injection.observed_responses net pats defects in
-      let dlog = Datalog.of_responses ~expected ~observed in
-      if Datalog.num_failing dlog = 0 then make_dlog (attempts - 1) else dlog
-  in
-  let dlog = make_dlog 50 in
   let site = (Netlist.pos net).(0) in
-  { p_name = name; net; pats; block; good; dlog; site }
+  { p_name = name; net; pats; block; good; dlog = List.hd dlogs; site }
 
 let micro_tests () =
   let open Bechamel in
@@ -120,7 +114,27 @@ let run_micro () =
     (List.sort compare rows);
   Table.print table
 
-(* --- Parallel scaling ---------------------------------------------- *)
+(* --- Timed groups ----------------------------------------------------- *)
+
+let tier =
+  match Sys.getenv_opt "MDD_BENCH_TIER" with
+  | None | Some "" | Some "default" -> `Default
+  | Some "large" -> `Large
+  | Some names -> `Names (String.split_on_char ',' names |> List.map String.trim)
+
+(* The suite's two random-logic circuits plus every vendored .bench
+   circuit. *)
+let tier_circuits ~large =
+  let default =
+    [ "rnd1k"; "rnd2k" ]
+    @ (Generators.tiers () |> List.map fst
+      |> List.filter (fun name -> name <> "rnd10k" && name <> "rnd50k"))
+  in
+  match tier with `Default -> default | `Large -> default @ large | `Names l -> l
+
+let write path json =
+  Arms.write_json path json;
+  Printf.printf "(wrote %s)\n\n%!" path
 
 (* Median wall-clock of Explain.build and diagnose on the rnd1k suite
    circuit at 1/2/4/8 domains; the JSON gives later PRs a trajectory to
@@ -129,98 +143,54 @@ let run_micro () =
 let run_parallel () =
   let report = Parbench.run ~circuit:"rnd1k" ~domain_counts:[ 1; 2; 4; 8 ] ~repeats:5 () in
   Table.print (Parbench.to_table report);
-  let path = "BENCH_parallel.json" in
-  Parbench.write_json ~path report;
-  Printf.printf "(wrote %s)\n%!" path;
+  write "BENCH_parallel.json" (Parbench.to_json report);
   (* The instrumented counters of the full diagnose run at 1 domain,
      standalone: the deterministic run report CI uploads next to the
      scaling numbers (the same data is embedded per sample above). *)
-  (match
-     List.find_opt
-       (fun s -> s.Parbench.kernel = "diagnose" && s.Parbench.domains = 1)
-       report.Parbench.samples
-   with
+  match
+    List.find_opt
+      (fun s -> s.Parbench.kernel = "diagnose" && s.Parbench.domains = 1)
+      report.Parbench.samples
+  with
   | Some { Parbench.stats = Some stats; _ } ->
-    let stats_path = "BENCH_stats.json" in
-    Run_report.write ~timings:false ~path:stats_path stats;
-    Printf.printf "(wrote %s)\n%!" stats_path
-  | Some { Parbench.stats = None; _ } | None -> ());
-  print_newline ()
-
-(* --- Batched-kernel A/B -------------------------------------------- *)
-
-(* Circuit list for the `batch` group, selected by MDD_BENCH_TIER:
-   unset/"default" runs the suite's two random-logic circuits plus every
-   vendored .bench circuit (seconds); "large" adds the rnd10k/rnd50k
-   tiers (the weekly CI job); anything else is a comma-separated
-   explicit list of suite or tier names. *)
-let batch_circuits () =
-  let vendored =
-    List.filter
-      (fun (name, _) -> name <> "rnd10k" && name <> "rnd50k")
-      (Generators.tiers ())
-    |> List.map fst
-  in
-  let default = [ "rnd1k"; "rnd2k" ] @ vendored in
-  match Sys.getenv_opt "MDD_BENCH_TIER" with
-  | None | Some "" | Some "default" -> default
-  | Some "large" -> default @ [ "rnd10k"; "rnd50k" ]
-  | Some names -> String.split_on_char ',' names |> List.map String.trim
+    Run_report.write ~timings:false ~path:"BENCH_stats.json" stats;
+    Printf.printf "(wrote BENCH_stats.json)\n\n%!"
+  | Some { Parbench.stats = None; _ } | None -> ()
 
 let run_batch () =
-  let circuits = batch_circuits () in
+  let circuits = tier_circuits ~large:[ "rnd10k"; "rnd50k" ] in
   let report = Batchbench.run ~circuits ~repeats:(max 3 (!trials / 2)) () in
   Table.print (Batchbench.to_table report);
-  let path = "BENCH_batch.json" in
-  Batchbench.write_json ~path report;
-  Printf.printf "(wrote %s)\n\n%!" path
+  write "BENCH_batch.json" (Batchbench.to_json report)
 
-(* --- Volume-service throughput -------------------------------------- *)
-
-(* Diagnoses/sec of one prewarmed rnd2k session drained at 1/2/4
-   worker domains — request-level parallelism, the scaling axis volume
-   diagnosis actually ships.  On a
-   single-CPU host expect parity across worker counts; the JSON records
-   the curve either way.  MDD_BENCH_TIER=large (the weekly CI job) adds
-   an rnd50k point with a small die queue, tracking the cold-start
-   amortisation ([prewarm_ms] against the per-die drain) at the scale
-   where it matters. *)
+(* Diagnoses/sec of one prewarmed session drained at 1/2/4 worker
+   domains: request-level parallelism, the scaling axis volume
+   diagnosis ships.  The rnd50k point (small die queue) tracks the
+   cold-start amortisation, [prewarm_ms] against the per-die drain, at
+   the scale where it matters. *)
 let run_volume () =
   let points =
     (* (circuit, dies, repeats, output path) *)
-    let default = [ ("rnd2k", 8, 3, "BENCH_volume.json") ] in
-    match Sys.getenv_opt "MDD_BENCH_TIER" with
-    | Some "large" -> default @ [ ("rnd50k", 3, 2, "BENCH_volume_rnd50k.json") ]
-    | None | Some _ -> default
+    ("rnd2k", 8, 3, "BENCH_volume.json")
+    :: (if tier = `Large then [ ("rnd50k", 3, 2, "BENCH_volume_rnd50k.json") ] else [])
   in
   List.iter
     (fun (circuit, dies, repeats, path) ->
       let report = Volumebench.run ~circuit ~worker_counts:[ 1; 2; 4 ] ~dies ~repeats () in
       Table.print (Volumebench.to_table report);
-      Volumebench.write_json ~path report;
-      Printf.printf "(wrote %s)\n\n%!" path)
+      write path (Volumebench.to_json report))
     points
 
-(* --- Persistent signature store ------------------------------------- *)
-
 (* Time-to-first-report of a fresh process: cold candidate simulation
-   vs the live prewarm sweep vs adopting a saved snapshot
-   (EXPERIMENTS Fig 1c, regression gate 8).  MDD_BENCH_TIER=large adds
-   the rnd50k point — the circuit whose full-pool arena must sit inside
-   the 64 MB ceiling. *)
+   vs the live prewarm sweep vs adopting a saved snapshot (EXPERIMENTS
+   Fig 1c, regression gate 8).  rnd50k is the circuit whose full-pool
+   arena must sit inside the 64 MB ceiling: a hard acceptance check,
+   not a soft report. *)
 let run_store () =
-  let circuits =
-    match Sys.getenv_opt "MDD_BENCH_TIER" with
-    | Some "large" -> [ "rnd2k"; "rnd50k" ]
-    | None | Some _ -> [ "rnd2k" ]
-  in
+  let circuits = "rnd2k" :: (if tier = `Large then [ "rnd50k" ] else []) in
   let report = Storebench.run ~circuits () in
   Table.print (Storebench.to_table report);
-  let path = "BENCH_store.json" in
-  Storebench.write_json ~path report;
-  Printf.printf "(wrote %s)\n\n%!" path;
-  (* Hard acceptance, not a soft report: every circuit's full-pool
-     packed arena must sit inside the 64 MB ceiling. *)
+  write "BENCH_store.json" (Storebench.to_json report);
   List.iter
     (fun (s : Storebench.sample) ->
       if not s.Storebench.fits_budget then begin
@@ -230,33 +200,15 @@ let run_store () =
       end)
     report.Storebench.samples
 
-(* --- Greedy-vs-exact covering differential -------------------------- *)
-
 (* Cover-size resolution of the exact (implicit hitting-set) backend
    against the greedy default, on the same seeded trial stream per
-   circuit — the numbers EXPERIMENTS.md's resolution table quotes and
-   the data behind the min_exact_agreement regression gate.  The
-   default circuit list adds the vendored .bench circuits to the two
-   random-logic tiers; MDD_BENCH_TIER=large widens it like `batch`. *)
+   circuit: the numbers EXPERIMENTS.md's resolution table quotes and
+   the data behind the min_exact_agreement regression gate. *)
 let run_cover () =
-  let vendored =
-    List.filter
-      (fun (name, _) -> name <> "rnd10k" && name <> "rnd50k")
-      (Generators.tiers ())
-    |> List.map fst
-  in
-  let circuits =
-    let default = [ "rnd1k"; "rnd2k" ] @ vendored in
-    match Sys.getenv_opt "MDD_BENCH_TIER" with
-    | None | Some "" | Some "default" -> default
-    | Some "large" -> default @ [ "rnd10k" ]
-    | Some names -> String.split_on_char ',' names |> List.map String.trim
-  in
+  let circuits = tier_circuits ~large:[ "rnd10k" ] in
   let report = Coverbench.run ~circuits ~trials:(max 6 !trials) () in
   Table.print (Coverbench.to_table report);
-  let path = "BENCH_cover.json" in
-  Coverbench.write_json ~path report;
-  Printf.printf "(wrote %s)\n\n%!" path
+  write "BENCH_cover.json" (Coverbench.to_json report)
 
 (* --- Table/figure drivers ------------------------------------------ *)
 

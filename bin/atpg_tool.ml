@@ -14,8 +14,12 @@ let compact_arg =
   Arg.(value & flag & info [ "compact" ] ~doc)
 
 let backtrack_arg =
-  let doc = "PODEM backtrack limit." in
-  Arg.(value & opt int 512 & info [ "backtrack-limit" ] ~docv:"N" ~doc)
+  let doc =
+    "PODEM backtrack limit.  The default is the limit `inject' and `diagnose' \
+     use when they generate the test set themselves, so at the default seed \
+     this writes their patterns."
+  in
+  Arg.(value & opt int Campaign.backtrack_limit & info [ "backtrack-limit" ] ~docv:"N" ~doc)
 
 let run bench suite seed compact output backtrack_limit =
   let net = Cli_common.or_die (Cli_common.load_circuit bench suite) in

@@ -14,20 +14,13 @@ let load_circuit bench suite =
       Error (Printf.sprintf "%s:%d: %s" path line msg)
     | Sys_error msg -> Error msg)
   | None, Some name -> (
-    (* Suite first, then the large benchmark tiers (rnd10k/rnd50k and
-       vendored .bench circuits) — forced lazily, so suite lookups never
-       pay tier construction. *)
-    match Generators.find_suite name with
+    match Generators.find name with
     | Some net -> Ok net
-    | None -> (
-      match Generators.find_tier name with
-      | Some net -> Ok net
-      | None ->
-        Error
-          (Printf.sprintf "unknown circuit %S (try: %s)" name
-             (String.concat ", "
-                (List.map fst (Generators.suite ())
-                @ List.map fst (Generators.tiers ()))))))
+    | None ->
+      Error
+        (Printf.sprintf "unknown circuit %S (try: %s)" name
+           (String.concat ", "
+              (List.map fst (Generators.suite ()) @ List.map fst (Generators.tiers ())))))
   | Some _, Some _ -> Error "give either --bench or --circuit, not both"
   | None, None -> Error "a circuit is required: --bench FILE or --circuit NAME"
 

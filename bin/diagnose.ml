@@ -24,7 +24,10 @@ let batch_dir_arg =
   let doc =
     "Volume mode: diagnose every *.datalog file in $(docv) against one warm \
      session, one diagnosis per worker domain, and write per-die JSON reports \
-     plus an aggregate rollup (see --out)."
+     plus an aggregate rollup of the diagnosed dies (see --out).  A die whose \
+     datalog cannot be read or parsed gets a report with `\"status\": \
+     \"input_error\"' and the message instead, the other dies are still \
+     diagnosed, and the exit code is then 1."
   in
   Arg.(value & opt (some dir) None & info [ "batch-dir" ] ~docv:"DIR" ~doc)
 
@@ -100,14 +103,27 @@ let run bench suite patterns_file datalog_file batch_dir serve workers out metho
     match (batch_dir, serve) with
     | Some dir, _ ->
       (* --- Volume mode: drain a directory of datalogs. ------------- *)
-      let dies = Volume.load_dir session dir in
-      if dies = [] then Cli_common.or_die (Error ("no *.datalog files in " ^ dir));
+      let paths = Volume.datalog_paths dir in
+      if paths = [] then Cli_common.or_die (Error ("no *.datalog files in " ^ dir));
+      (* A die that cannot be read or parsed fails alone. *)
+      let reads = List.map (fun p -> (Volume.die_name p, Volume.read_die session p)) paths in
+      let dies = List.filter_map (fun (_, r) -> Result.to_option r) reads in
+      let bad =
+        List.filter_map (function n, Error msg -> Some (n, msg) | _, Ok _ -> None) reads
+      in
       Format.printf "circuit: %a@." Netlist.pp_stats net;
       Format.printf "volume: %d dies from %s@." (List.length dies) dir;
       let die_config = { config with Noassume.domains = Some 1 } in
       let results = Volume.run ~config:die_config ?workers session dies in
       let out = Option.value out ~default:"volume_reports" in
       let ru = Volume.write_results ~dir:out session results in
+      List.iter
+        (fun (name, msg) ->
+          Out_channel.with_open_bin (Filename.concat out (name ^ ".json")) (fun oc ->
+              output_string oc (Volume.input_error_json ~die:name msg));
+          Printf.eprintf "%s: input_error: %s\n%!" name msg)
+        bad;
+      if bad <> [] then exit_code := 1;
       Format.printf "wrote %d per-die reports + rollup.json to %s@."
         (List.length results) out;
       let top = List.filteri (fun i _ -> i < 10) ru.Volume.nets in
@@ -119,6 +135,7 @@ let run bench suite patterns_file datalog_file batch_dir serve workers out metho
       [
         ("mode", "volume");
         ("dies", string_of_int (List.length results));
+        ("input_errors", string_of_int (List.length bad));
         ( "workers",
           string_of_int
             (match workers with Some w -> w | None -> Parallel.default_domains ()) );
@@ -142,18 +159,11 @@ let run bench suite patterns_file datalog_file batch_dir serve workers out metho
          while true do
            let path = String.trim (input_line stdin) in
            if path <> "" then begin
-             let name = Filename.remove_extension (Filename.basename path) in
+             let name = Volume.die_name path in
              (* A die that cannot be read or parsed fails alone. *)
-             let dlog =
-               match parse_dlog (read_file path) with
-               | Ok dlog -> Ok dlog
-               | Error msg -> Error (path ^ ": " ^ msg)
-               | exception Sys_error msg -> Error msg
-               | exception Invalid_argument msg -> Error (path ^ ": " ^ msg)
-             in
-             match dlog with
-             | Ok dlog ->
-               let r = Volume.diagnose_die ~config:die_config session { Volume.name; dlog } in
+             match Volume.read_die session path with
+             | Ok die ->
+               let r = Volume.diagnose_die ~config:die_config session die in
                incr n;
                emit name (Volume.die_json r) "done"
              | Error msg ->

@@ -4,19 +4,16 @@
    across netlist tiers, yielding a fig1-style ms-per-matrix curve over
    gate count for each mode.
 
-   Methodology differs from [Parbench] in two deliberate ways:
+   Patterns are seeded-random, not deterministic ATPG: the large tiers
+   exist to measure the simulation kernel, and [Campaign.test_set] at
+   10k+ gates costs more than every timed run together, while changing
+   nothing about what the kernel does per pattern block.
 
-   - Patterns are seeded-random, not deterministic ATPG: the large tiers
-     exist to measure the simulation kernel, and [Campaign.test_set]
-     costs minutes at 10k+ gates — far more than every timed run
-     together — while changing nothing about what the kernel does per
-     pattern block.
-
-   - Both modes run against one session without a signature arena, so
-     both simulate every (fault, block) pair on every run and the A/B
-     compares kernels, not replays.  The reference reuses the batched
-     build's candidate pool, and the two matrices are checked equal
-     before anything is timed. *)
+   Both modes run against one session without a signature arena, so
+   both simulate every (fault, block) pair on every run and the A/B
+   compares kernels, not replays.  The reference reuses the batched
+   build's candidate pool, and the two matrices are checked equal
+   before anything is timed. *)
 
 type mode = Batched | Per_fault
 
@@ -33,65 +30,6 @@ type sample = {
 
 type report = { repeats : int; samples : sample list }
 
-let now_ms () = Unix.gettimeofday () *. 1e3
-
-let median a =
-  let a = Array.copy a in
-  Array.sort compare a;
-  let n = Array.length a in
-  if n = 0 then nan
-  else if n mod 2 = 1 then a.(n / 2)
-  else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
-
-(* One warm-up per mode, then [repeats] timed runs per mode with the
-   modes interleaved run by run; returns per-mode (median, minimum).
-   Two noise defenses, both load-bearing on a shared host:
-   interleaving keeps both modes inside the same machine-speed window
-   (back-to-back mode blocks let a slow half hour land entirely on one
-   side and skew the ratio), and speedups later divide the minima —
-   scheduling noise only ever adds time, so the minimum estimates true
-   kernel cost far more stably than the median.  The medians are kept
-   for the curves. *)
-let time_ab ~repeats f =
-  let time mode =
-    let t0 = now_ms () in
-    f mode;
-    now_ms () -. t0
-  in
-  ignore (time Per_fault);
-  ignore (time Batched);
-  let pf = Array.make repeats 0.0 and bt = Array.make repeats 0.0 in
-  for i = 0 to repeats - 1 do
-    pf.(i) <- time Per_fault;
-    bt.(i) <- time Batched
-  done;
-  let stats a = (median a, Array.fold_left min a.(0) a) in
-  (stats pf, stats bt)
-
-let find_circuit name =
-  match Generators.find_suite name with
-  | Some n -> n
-  | None -> (
-    match Generators.find_tier name with
-    | Some n -> n
-    | None -> invalid_arg ("Batchbench: unknown circuit or tier " ^ name))
-
-let prepare ~circuit ~patterns ~multiplicity ~seed =
-  let net = find_circuit circuit in
-  let rng = Rng.create seed in
-  let pats = Pattern.random rng ~npis:(Netlist.num_pis net) ~count:patterns in
-  let expected = Logic_sim.responses net pats in
-  let rec make_dlog attempts =
-    if attempts = 0 then failwith "Batchbench: no failing defect combination found"
-    else begin
-      let defects = Injection.random_defects rng net Injection.default_mix multiplicity in
-      let observed = Injection.observed_responses net pats defects in
-      let dlog = Datalog.of_responses ~expected ~observed in
-      if Datalog.num_failing dlog = 0 then make_dlog (attempts - 1) else dlog
-    end
-  in
-  (net, pats, make_dlog 50)
-
 (* 8 full 63-bit blocks: partial last blocks waste batch-slab width, and
    fewer blocks under-amortize the per-cone walk the batch pass shares
    across blocks. *)
@@ -102,7 +40,10 @@ let run ?(circuits = [ "rnd1k"; "rnd2k" ]) ?(repeats = 5) ?(patterns = default_p
   let samples =
     List.concat_map
       (fun circuit ->
-        let net, pats, dlog = prepare ~circuit ~patterns ~multiplicity ~seed in
+        let net, pats, dlogs =
+          Arms.problem ~patterns:(`Random patterns) ~multiplicity ~dies:1 ~seed circuit
+        in
+        let dlog = List.hd dlogs in
         (* One single-kernel-domain session without an arena; its
            construction (goods, PO reach) stays outside the timed
            region, so the A/B isolates the simulation kernels. *)
@@ -117,24 +58,24 @@ let run ?(circuits = [ "rnd1k"; "rnd2k" ]) ?(repeats = 5) ?(patterns = default_p
             (Explain_ref.agrees (Explain.build_session session dlog)
                (Explain_ref.build session dlog candidates))
         then failwith ("Batchbench: batched matrix differs from the reference on " ^ circuit);
-        let per_fault, batched =
-          time_ab ~repeats (fun mode ->
-              match mode with
-              | Batched -> ignore (Sys.opaque_identity (Explain.build_session session dlog))
-              | Per_fault ->
-                ignore (Sys.opaque_identity (Explain_ref.build session dlog candidates)))
+        let times =
+          Arms.run ~repeats
+            [
+              Arms.call (fun () -> Explain_ref.build session dlog candidates);
+              Arms.call (fun () -> Explain.build_session session dlog);
+            ]
         in
-        let sample mode (explain_ms, explain_best_ms) =
-          {
-            tier = circuit;
-            gates = Netlist.num_nets net;
-            patterns = Pattern.count pats;
-            mode;
-            explain_ms;
-            explain_best_ms;
-          }
-        in
-        [ sample Per_fault per_fault; sample Batched batched ])
+        List.map2
+          (fun mode ms ->
+            {
+              tier = circuit;
+              gates = Netlist.num_nets net;
+              patterns = Pattern.count pats;
+              mode;
+              explain_ms = Stats.median ms;
+              explain_best_ms = Stats.minimum ms;
+            })
+          [ Per_fault; Batched ] times)
       circuits
   in
   { repeats; samples }
@@ -142,8 +83,8 @@ let run ?(circuits = [ "rnd1k"; "rnd2k" ]) ?(repeats = 5) ?(patterns = default_p
 let find_sample r ~tier ~mode =
   List.find_opt (fun s -> s.tier = tier && s.mode = mode) r.samples
 
-(* Per-tier speedups as ratios of best (minimum) times — see
-   [time_ab]; the number the regression gate floors. *)
+(* Per-tier speedups as ratios of best (minimum) times; the number the
+   regression gate floors. *)
 let speedups r =
   List.filter_map
     (fun s ->
@@ -193,28 +134,24 @@ let to_table r =
     r.samples;
   table
 
-let json_of_report r =
-  let buf = Buffer.create 1024 in
-  Printf.bprintf buf "{\n  \"repeats\": %d,\n  \"samples\": [\n" r.repeats;
-  List.iteri
-    (fun i s ->
-      Printf.bprintf buf
-        "    {\"tier\": %S, \"gates\": %d, \"patterns\": %d, \"mode\": %S, \
-         \"explain_ms\": %.3f, \"explain_best_ms\": %.3f}%s\n"
-        s.tier s.gates s.patterns (mode_name s.mode) s.explain_ms s.explain_best_ms
-        (if i = List.length r.samples - 1 then "" else ","))
-    r.samples;
-  Printf.bprintf buf "  ],\n  \"speedups\": [\n";
-  let sp = speedups r in
-  List.iteri
-    (fun i (tier, e) ->
-      Printf.bprintf buf "    {\"tier\": %S, \"explain_speedup\": %.3f}%s\n" tier e
-        (if i = List.length sp - 1 then "" else ","))
-    sp;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
-
-let write_json ~path r =
-  let oc = open_out path in
-  output_string oc (json_of_report r);
-  close_out oc
+let to_json r =
+  let sample s =
+    Obs_json.Obj
+      [
+        ("tier", Obs_json.Str s.tier);
+        ("gates", Arms.int s.gates);
+        ("patterns", Arms.int s.patterns);
+        ("mode", Obs_json.Str (mode_name s.mode));
+        ("explain_ms", Obs_json.Num s.explain_ms);
+        ("explain_best_ms", Obs_json.Num s.explain_best_ms);
+      ]
+  in
+  let speedup (tier, e) =
+    Obs_json.Obj [ ("tier", Obs_json.Str tier); ("explain_speedup", Obs_json.Num e) ]
+  in
+  Obs_json.Obj
+    [
+      ("repeats", Arms.int r.repeats);
+      ("samples", Obs_json.List (List.map sample r.samples));
+      ("speedups", Obs_json.List (List.map speedup (speedups r)));
+    ]

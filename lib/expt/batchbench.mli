@@ -12,7 +12,8 @@
     large tiers measure the simulation kernel, and test generation at
     10k+ gates costs more than every timed run together), and the
     session holds no signature arena, so the two modes compare kernels,
-    not replays.  Raises [Failure] if the two matrices ever differ. *)
+    not replays.  The two modes are the two arms of one {!Arms.run}.
+    Raises [Failure] if the two matrices ever differ. *)
 
 type mode = Batched | Per_fault
 
@@ -38,10 +39,8 @@ val run :
   ?seed:int ->
   unit ->
   report
-(** Runs both modes over each named circuit — suite names are looked up
-    first, then tiers ({!Generators.find_tier}).  The two modes are
-    interleaved run by run so machine-speed drift on a shared host hits
-    both sides of each ratio equally.  Defaults: [rnd1k] and [rnd2k],
+(** Runs both modes over each named circuit ({!Arms.find_circuit}).
+    Defaults: [rnd1k] and [rnd2k],
     5 repeats per mode, 504 random patterns (8 full 63-bit blocks — a
     partial last block wastes batch-slab width), 3 injected defects,
     seed 99.  Raises [Invalid_argument] on an unknown name. *)
@@ -57,9 +56,7 @@ val speedups : report -> (string * float) list
 
 val to_table : report -> Table.t
 
-val json_of_report : report -> string
+val to_json : report -> Obs_json.t
 (** Stable shape: [{"repeats", "samples": [{"tier", "gates", "patterns",
     "mode", "explain_ms", "explain_best_ms"}], "speedups": [{"tier",
     "explain_speedup"}]}]. *)
-
-val write_json : path:string -> report -> unit

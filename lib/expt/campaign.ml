@@ -15,13 +15,15 @@ type outcome = {
 
 type t = { circuit : string; outcomes : outcome list; redraws : int }
 
+let backtrack_limit = 128
+
 let test_report_cache : (Netlist.t * Tpg.report) list ref = ref []
 
 let test_report net =
   match List.find_opt (fun (n, _) -> n == net) !test_report_cache with
   | Some (_, report) -> report
   | None ->
-    let report = Tpg.generate ~seed:1 ~backtrack_limit:128 net in
+    let report = Tpg.generate ~seed:1 ~backtrack_limit net in
     test_report_cache := (net, report) :: !test_report_cache;
     report
 

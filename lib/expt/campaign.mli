@@ -35,6 +35,10 @@ type t = {
   redraws : int;  (** Defect draws discarded for producing no failures. *)
 }
 
+val backtrack_limit : int
+(** 128: the PODEM backtrack limit of {!test_report}, and the default
+    of [atpg_tool], so every tool generates the same test set. *)
+
 val test_report : Netlist.t -> Tpg.report
 (** The campaign ATPG run for a circuit (canonical seed, bounded PODEM
     backtracking).  Memoised per netlist — Table 1, the campaigns and the

@@ -38,60 +38,35 @@ type report = {
   rows : row list;
 }
 
-let now_ms () = Unix.gettimeofday () *. 1e3
-
-let find_circuit name =
-  match Generators.find_suite name with
-  | Some n -> n
-  | None -> (
-    match Generators.find_tier name with
-    | Some n -> n
-    | None -> invalid_arg ("Coverbench: unknown circuit or tier " ^ name))
-
-(* Distinct failing datalogs from one seeded stream — both backends see
-   the identical trial list. *)
-let make_dlogs net pats ~trials ~multiplicity ~seed =
-  let rng = Rng.create seed in
-  let expected = Logic_sim.responses net pats in
-  let rec make attempts =
-    if attempts = 0 then failwith "Coverbench: no failing defect combination found"
-    else begin
-      let defects = Injection.random_defects rng net Injection.default_mix multiplicity in
-      let observed = Injection.observed_responses net pats defects in
-      let dlog = Datalog.of_responses ~expected ~observed in
-      if Datalog.num_failing dlog = 0 then make (attempts - 1) else dlog
-    end
-  in
-  List.init trials (fun _ -> make 50)
-
 let run_circuit ~trials ~multiplicity ~seed ~node_budget circuit =
-  let net = find_circuit circuit in
-  let pats = Campaign.test_set net in
-  let dlogs = make_dlogs net pats ~trials ~multiplicity ~seed in
+  (* Both backends see the identical trial list. *)
+  let net, pats, dlogs = Arms.problem ~patterns:`Test_set ~multiplicity ~dies:trials ~seed circuit in
   (* Validation off: the multiplet is exactly the chosen cover, and the
      wall-clock difference is the covering step, not refinement. *)
   let config = { Noassume.default_config with validate = false; domains = Some 1 } in
-  let session_with cover =
-    Session.create
-      ~config:
-        {
-          Session.default_config with
-          Session.domains = Some 1;
-          cover;
-          cover_budget = node_budget;
-        }
-      net pats
-  in
-  let arm cover =
-    let session = session_with cover in
-    let t0 = now_ms () in
-    let results =
-      List.map (fun dlog -> Noassume.diagnose_session ~config session dlog) dlogs
+  let arm cover results () =
+    let session =
+      Session.create
+        ~config:
+          {
+            Session.default_config with
+            Session.domains = Some 1;
+            cover;
+            cover_budget = node_budget;
+          }
+        net pats
     in
-    (results, now_ms () -. t0)
+    fun () -> results := List.map (Noassume.diagnose_session ~config session) dlogs
   in
-  let greedy_results, greedy_ms = arm Session.Greedy in
-  let exact_results, exact_ms = arm Session.Exact in
+  let greedy_results = ref [] and exact_results = ref [] in
+  let greedy_ms, exact_ms =
+    match
+      Arms.run ~repeats:1 [ arm Session.Greedy greedy_results; arm Session.Exact exact_results ]
+    with
+    | [ [ g ]; [ e ] ] -> (g, e)
+    | _ -> assert false
+  in
+  let greedy_results = !greedy_results and exact_results = !exact_results in
   let sizes rs = List.map (fun r -> List.length r.Noassume.multiplet) rs in
   let gsizes = sizes greedy_results and esizes = sizes exact_results in
   let mean l =
@@ -169,26 +144,29 @@ let to_table r =
     r.rows;
   table
 
-let json_of_report r =
-  let buf = Buffer.create 1024 in
-  Printf.bprintf buf
-    "{\n  \"trials\": %d,\n  \"multiplicity\": %d,\n  \"seed\": %d,\n\
-    \  \"node_budget\": %d,\n  \"agreement\": %.4f,\n  \"rows\": [\n"
-    r.trials r.multiplicity r.seed r.node_budget (agreement r);
-  List.iteri
-    (fun i row ->
-      Printf.bprintf buf
-        "    {\"circuit\": %S, \"trials\": %d, \"greedy_mean\": %.4f, \
-         \"exact_mean\": %.4f, \"agree\": %d, \"improved\": %d, \"larger\": %d, \
-         \"proved\": %d, \"fallbacks\": %d, \"greedy_ms\": %.3f, \"exact_ms\": %.3f}%s\n"
-        row.circuit row.trials row.greedy_mean row.exact_mean row.agree row.improved
-        row.larger row.proved row.fallbacks row.greedy_ms row.exact_ms
-        (if i = List.length r.rows - 1 then "" else ","))
-    r.rows;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
-
-let write_json ~path r =
-  let oc = open_out path in
-  output_string oc (json_of_report r);
-  close_out oc
+let to_json r =
+  let row (row : row) =
+    Obs_json.Obj
+      [
+        ("circuit", Obs_json.Str row.circuit);
+        ("trials", Arms.int row.trials);
+        ("greedy_mean", Obs_json.Num row.greedy_mean);
+        ("exact_mean", Obs_json.Num row.exact_mean);
+        ("agree", Arms.int row.agree);
+        ("improved", Arms.int row.improved);
+        ("larger", Arms.int row.larger);
+        ("proved", Arms.int row.proved);
+        ("fallbacks", Arms.int row.fallbacks);
+        ("greedy_ms", Obs_json.Num row.greedy_ms);
+        ("exact_ms", Obs_json.Num row.exact_ms);
+      ]
+  in
+  Obs_json.Obj
+    [
+      ("trials", Arms.int r.trials);
+      ("multiplicity", Arms.int r.multiplicity);
+      ("seed", Arms.int r.seed);
+      ("node_budget", Arms.int r.node_budget);
+      ("agreement", Obs_json.Num (agreement r));
+      ("rows", Obs_json.List (List.map row r.rows));
+    ]

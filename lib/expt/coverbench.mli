@@ -19,8 +19,10 @@ type row = {
   larger : int;  (** Exact larger than greedy — impossible by design. *)
   proved : int;  (** Trials with a minimality certificate. *)
   fallbacks : int;  (** Budget exhaustions (fell back to greedy). *)
-  greedy_ms : float;  (** Wall clock over all trials, greedy backend. *)
-  exact_ms : float;  (** Wall clock over all trials, exact backend. *)
+  greedy_ms : float;
+      (** Wall clock over all trials, greedy backend: the one timed
+          {!Arms} round, session build excluded. *)
+  exact_ms : float;  (** The same for the exact backend. *)
 }
 
 type report = {
@@ -41,7 +43,7 @@ val run :
   report
 (** Defaults: rnd1k and rnd2k, 12 trials of multiplicity 3, seed 77,
     {!Session.default_cover_budget} nodes.  Circuit names resolve
-    through the suite, then the tiers (so vendored [.bench] circuits
+    through {!Arms.find_circuit} (so vendored [.bench] circuits
     work).  Deterministic for fixed parameters (wall-clock columns
     aside). *)
 
@@ -55,5 +57,8 @@ val any_larger : report -> bool
     a soundness violation the gate reports as a hard failure. *)
 
 val to_table : report -> Table.t
-val json_of_report : report -> string
-val write_json : path:string -> report -> unit
+val to_json : report -> Obs_json.t
+(** Stable shape: [{"trials", "multiplicity", "seed", "node_budget",
+    "agreement", "rows": [{"circuit", "trials", "greedy_mean",
+    "exact_mean", "agree", "improved", "larger", "proved", "fallbacks",
+    "greedy_ms", "exact_ms"}]}]. *)

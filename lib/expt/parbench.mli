@@ -1,11 +1,12 @@
 (** Parallel-scaling benchmark of the diagnosis kernels.
 
     Times [Explain.build] and the end-to-end [Noassume.diagnose] on one
-    fixed multi-defect problem at several domain counts and reports
-    wall-clock medians plus speedups versus one domain.  The bench
-    executable runs this on the [rnd1k] suite circuit at 1/2/4/8 domains
-    and writes [BENCH_parallel.json]; the test suite runs a tiny [c17]
-    configuration as a smoke test of the domain pool. *)
+    fixed multi-defect problem at several domain counts on the
+    {!Arms} runner, and reports wall-clock medians plus speedups versus
+    one domain.  The bench executable runs this on the [rnd1k] suite
+    circuit at 1/2/4/8 domains and writes [BENCH_parallel.json]; the
+    test suite runs a tiny [c17] configuration as a smoke test of the
+    domain pool. *)
 
 type sample = {
   kernel : string;  (** ["explain-build"] or ["diagnose"]. *)
@@ -22,6 +23,7 @@ type report = { circuit : string; repeats : int; samples : sample list }
 
 val run :
   ?circuit:string ->
+  ?kernels:string list ->
   ?domain_counts:int list ->
   ?repeats:int ->
   ?multiplicity:int ->
@@ -29,11 +31,13 @@ val run :
   ?with_stats:bool ->
   unit ->
   report
-(** Defaults: [rnd1k], domain counts [1; 2; 4; 8], 5 repeats, 3 injected
-    defects, seed 99, stats capture on.  Every run builds a fresh
-    session without a signature arena, so each one simulates the whole
-    candidate pool.  Stats capture resets the global [Obs] registry.
-    Raises [Invalid_argument] on an unknown suite circuit name. *)
+(** Defaults: [rnd1k], kernels ["explain-build"] and ["diagnose"],
+    domain counts [1; 2; 4; 8], 5 repeats, 3 injected defects, seed 99,
+    stats capture on.  Every (kernel, domain count) point is one arm;
+    every run builds a fresh session without a signature arena, so each
+    one simulates the whole candidate pool.  Stats capture resets the
+    global [Obs] registry.  Raises [Invalid_argument] on an unknown
+    circuit or kernel name. *)
 
 val campaign_arena_probes :
   ?circuit:string ->
@@ -51,11 +55,9 @@ val campaign_arena_probes :
 
 val to_table : report -> Table.t
 
-val json_of_report : report -> string
+val to_json : report -> Obs_json.t
 (** Stable shape: [{"circuit", "repeats", "samples": [{"kernel",
     "domains", "runs", "median_ns", "speedup_vs_1", "stats"}]}], where
     ["stats"] is the sample's embedded run report without timing fields
     (see [Run_report.to_obs_json]) — everything in the file except
     [median_ns]/[speedup_vs_1] is deterministic for the fixed seed. *)
-
-val write_json : path:string -> report -> unit

@@ -11,10 +11,8 @@
      what a restarted fleet process actually pays.
 
    The goods and PO reach every session builds are outside the cold and
-   load timings.  Methodology follows [Volumebench]: seeded-random
-   patterns, wall clock, arms interleaved run by run so machine-speed
-   drift lands on every arm equally, and the headline ratio divides
-   best (minimum) times — scheduling noise only ever adds time.
+   load timings.  Seeded-random patterns, five {!Arms} arms, and the
+   headline ratio divides best (minimum) times.
 
    Alongside the timings the report pins the footprint story: the
    packed arena's resident bytes ([Sig_cache.frozen_bytes]) against
@@ -45,57 +43,20 @@ let arena_ceiling_mb = 64
 
 type report = { repeats : int; samples : sample list }
 
-let now_ms () = Unix.gettimeofday () *. 1e3
-
-let find_circuit name =
-  match Generators.find_suite name with
-  | Some n -> n
-  | None -> (
-    match Generators.find_tier name with
-    | Some n -> n
-    | None -> invalid_arg ("Storebench: unknown circuit or tier " ^ name))
-
 let default_patterns = 4 * Bitvec.word_bits
 
-(* One failing die, drawn like [Volumebench.prepare]. *)
-let prepare ~circuit ~patterns ~multiplicity ~seed =
-  let net = find_circuit circuit in
-  let rng = Rng.create seed in
-  let pats = Pattern.random rng ~npis:(Netlist.num_pis net) ~count:patterns in
-  let expected = Logic_sim.responses net pats in
-  let rec make_dlog attempts =
-    if attempts = 0 then failwith "Storebench: no failing defect combination found"
-    else begin
-      let defects = Injection.random_defects rng net Injection.default_mix multiplicity in
-      let observed = Injection.observed_responses net pats defects in
-      let dlog = Datalog.of_responses ~expected ~observed in
-      if Datalog.num_failing dlog = 0 then make_dlog (attempts - 1) else dlog
-    end
-  in
-  (net, pats, make_dlog 50)
-
 let bench_circuit ~store_dir ~repeats ~patterns ~multiplicity ~seed circuit =
-  let net, pats, dlog = prepare ~circuit ~patterns ~multiplicity ~seed in
-  (* Each timed section starts from a collected heap, as in a fresh
-     process: otherwise the garbage of the arm before (a sweep's
-     scratch, the discarded arena of the timed load) is marked and swept
-     on the next arm's clock. *)
-  let timed f =
-    Gc.full_major ();
-    let t0 = now_ms () in
-    let v = f () in
-    (v, now_ms () -. t0)
+  let net, pats, dlogs =
+    Arms.problem ~patterns:(`Random patterns) ~multiplicity ~dies:1 ~seed circuit
   in
-  let create config = Session.create ~config net pats in
-  let diagnose session =
-    snd (timed (fun () -> Sys.opaque_identity (Noassume.diagnose_session session dlog)))
-  in
+  let dlog = List.hd dlogs in
+  let create config () = Session.create ~config net pats in
   let cold_config = Session.default_config in
   let prewarm_config = { cold_config with Session.prewarm = true } in
   let load_config = { prewarm_config with Session.store_dir = Some store_dir } in
   (* Seed the snapshot once, outside the timed runs, and keep the pool
      size and footprint numbers from it (identical on every sweep). *)
-  let seed_session = create load_config in
+  let seed_session = create load_config () in
   let arena =
     match Session.cache seed_session with
     | Some a -> a
@@ -111,34 +72,48 @@ let bench_circuit ~store_dir ~repeats ~patterns ~multiplicity ~seed circuit =
        else Fault_list.all net)
   in
   let file_bytes = (Unix.stat (Sig_cache.store_path ~dir:store_dir net)).Unix.st_size in
-  let cold = Array.make repeats 0.0 in
-  let sweep = Array.make repeats 0.0 in
-  let sweep_first = Array.make repeats 0.0 in
-  let load = Array.make repeats 0.0 in
-  let load_first = Array.make repeats 0.0 in
-  for i = 0 to repeats - 1 do
-    cold.(i) <- diagnose (create cold_config);
-    let s, t = timed (fun () -> create prewarm_config) in
-    sweep.(i) <- t;
-    sweep_first.(i) <- diagnose s;
-    (* The session below adopts the same snapshot again, untimed, so its
-       first diagnosis runs on a just-loaded arena. *)
-    load.(i) <- snd (timed (fun () -> Sig_cache.load_frozen ~dir:store_dir net pats));
-    load_first.(i) <- diagnose (create load_config)
-  done;
-  let best a = Array.fold_left min a.(0) a in
+  (* A first diagnosis, timed on a session built untimed. *)
+  let first session () =
+    let session = session () in
+    fun () -> ignore (Sys.opaque_identity (Noassume.diagnose_session session dlog))
+  in
+  (* The sweep arm's session is the one the next arm diagnoses first. *)
+  let swept = ref None in
+  let take_swept () =
+    let s = Option.get !swept in
+    swept := None;
+    s
+  in
+  let best =
+    List.map Stats.minimum
+      (Arms.run ~repeats
+         [
+           first (create cold_config);
+           Arms.call (fun () -> swept := Some (create prewarm_config ()));
+           first take_swept;
+           Arms.call (fun () -> Sig_cache.load_frozen ~dir:store_dir net pats);
+           (* adopts the same snapshot again, so the diagnosis runs on a
+              just-loaded arena *)
+           first (create load_config);
+         ])
+  in
+  let cold_ms, prewarm_ms, prewarm_first_ms, load_ms, load_first_ms =
+    match best with
+    | [ a; b; c; d; e ] -> (a, b, c, d, e)
+    | _ -> assert false
+  in
   let budget_bytes = arena_ceiling_mb * 1024 * 1024 in
   let arena_bytes = Sig_cache.frozen_bytes arena in
   {
     circuit;
     runs = repeats;
     faults;
-    cold_ms = best cold;
-    prewarm_ms = best sweep;
-    prewarm_first_ms = best sweep_first;
-    load_ms = best load;
-    load_first_ms = best load_first;
-    load_speedup = best cold /. (best load +. best load_first);
+    cold_ms;
+    prewarm_ms;
+    prewarm_first_ms;
+    load_ms;
+    load_first_ms;
+    load_speedup = cold_ms /. (load_ms +. load_first_ms);
     arena_bytes;
     boxed_bytes = Sig_cache.frozen_boxed_bytes arena;
     file_bytes;
@@ -152,10 +127,15 @@ let default_store_dir () =
 
 let run ?(circuits = [ "rnd2k" ]) ?store_dir ?(repeats = 3)
     ?(patterns = default_patterns) ?(multiplicity = 1) ?(seed = 77) () =
-  let store_dir = match store_dir with Some d -> d | None -> default_store_dir () in
+  let dir = match store_dir with Some d -> d | None -> default_store_dir () in
   let samples =
-    List.map (bench_circuit ~store_dir ~repeats ~patterns ~multiplicity ~seed) circuits
+    List.map (bench_circuit ~store_dir:dir ~repeats ~patterns ~multiplicity ~seed) circuits
   in
+  (* A directory of our own choosing is ours to remove. *)
+  if store_dir = None then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Sys.rmdir dir
+  end;
   { repeats; samples }
 
 (* Worst load-vs-cold ratio across circuits — the number gate 8 floors:
@@ -208,28 +188,29 @@ let to_table r =
     r.samples;
   table
 
-let json_of_report r =
-  let buf = Buffer.create 1024 in
-  Printf.bprintf buf "{\n  \"repeats\": %d,\n" r.repeats;
-  Printf.bprintf buf "  \"min_load_speedup\": %.4f,\n  \"samples\": [\n"
-    (min_load_speedup r);
-  List.iteri
-    (fun i s ->
-      Printf.bprintf buf
-        "    {\"circuit\": %S, \"runs\": %d, \"faults\": %d, \"cold_ms\": %.3f, \
-         \"prewarm_ms\": %.3f, \"prewarm_first_ms\": %.3f, \"load_ms\": %.3f, \
-         \"load_first_ms\": %.3f, \"load_speedup\": %.4f, \"arena_bytes\": %d, \
-         \"boxed_bytes\": %d, \"file_bytes\": %d, \"budget_bytes\": %d, \
-         \"fits_budget\": %b}%s\n"
-        s.circuit s.runs s.faults s.cold_ms s.prewarm_ms s.prewarm_first_ms s.load_ms
-        s.load_first_ms s.load_speedup s.arena_bytes s.boxed_bytes s.file_bytes
-        s.budget_bytes s.fits_budget
-        (if i = List.length r.samples - 1 then "" else ","))
-    r.samples;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
-
-let write_json ~path r =
-  let oc = open_out path in
-  output_string oc (json_of_report r);
-  close_out oc
+let to_json r =
+  let sample s =
+    Obs_json.Obj
+      [
+        ("circuit", Obs_json.Str s.circuit);
+        ("runs", Arms.int s.runs);
+        ("faults", Arms.int s.faults);
+        ("cold_ms", Obs_json.Num s.cold_ms);
+        ("prewarm_ms", Obs_json.Num s.prewarm_ms);
+        ("prewarm_first_ms", Obs_json.Num s.prewarm_first_ms);
+        ("load_ms", Obs_json.Num s.load_ms);
+        ("load_first_ms", Obs_json.Num s.load_first_ms);
+        ("load_speedup", Obs_json.Num s.load_speedup);
+        ("arena_bytes", Arms.int s.arena_bytes);
+        ("boxed_bytes", Arms.int s.boxed_bytes);
+        ("file_bytes", Arms.int s.file_bytes);
+        ("budget_bytes", Arms.int s.budget_bytes);
+        ("fits_budget", Obs_json.Bool s.fits_budget);
+      ]
+  in
+  Obs_json.Obj
+    [
+      ("repeats", Arms.int r.repeats);
+      ("min_load_speedup", Obs_json.Num (min_load_speedup r));
+      ("samples", Obs_json.List (List.map sample r.samples));
+    ]

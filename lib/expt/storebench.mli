@@ -5,9 +5,8 @@
     then the first diagnose), and {e load} ({!Sig_cache.load_frozen}
     snapshot adoption, then the first diagnose on that arena).  The
     goods and PO reach every session builds are outside the cold and
-    load timings.  Arms are interleaved run by run and the headline ratio
-    divides best (minimum) times, the same noise defenses as
-    {!Volumebench}.  Also pins the footprint story: packed arena bytes
+    load timings.  The five timed sections are {!Arms} arms, and the
+    headline ratio divides best (minimum) times.  Also pins the footprint story: packed arena bytes
     vs a boxed representation, the snapshot file size, and whether the
     full-pool arena fits a 64 MB ceiling. *)
 
@@ -41,14 +40,19 @@ val run :
   ?seed:int ->
   unit ->
   report
-(** Defaults: rnd2k only, a per-process temp store directory, 3
-    runs/arm, 4 blocks of seeded-random patterns, one multiplicity-3
-    die, seed 99. *)
+(** Defaults: rnd2k only, a per-process temp store directory (removed
+    before returning), 3
+    runs/arm, 4 blocks of seeded-random patterns, one multiplicity-1
+    die, seed 77. *)
 
 val min_load_speedup : report -> float
 (** Worst [load_speedup] across circuits — what regression gate 8
     floors ([min_store_speedup]). *)
 
 val to_table : report -> Table.t
-val json_of_report : report -> string
-val write_json : path:string -> report -> unit
+val to_json : report -> Obs_json.t
+(** Stable shape: [{"repeats", "min_load_speedup", "samples":
+    [{"circuit", "runs", "faults", "cold_ms", "prewarm_ms",
+    "prewarm_first_ms", "load_ms", "load_first_ms", "load_speedup",
+    "arena_bytes", "boxed_bytes", "file_bytes", "budget_bytes",
+    "fits_budget"}]}]. *)

@@ -194,18 +194,10 @@ let table6 ~trials ~seed =
         let rng = Rng.create (cell_seed seed (name ^ "dict") k) in
         let qs = ref [] in
         for _ = 1 to trials do
-          let rec draw attempts =
-            if attempts = 0 then None
-            else
-              let defects = Injection.random_defects rng net Injection.default_mix k in
-              let observed = Injection.observed_responses net pats defects in
-              let dlog = Datalog.of_responses ~expected ~observed in
-              if Datalog.num_failing dlog = 0 then draw (attempts - 1)
-              else Some (Injection.contributing net pats defects, dlog)
-          in
-          match draw 50 with
+          match Arms.draw_failing rng net pats ~expected ~multiplicity:k with
           | None -> ()
           | Some (defects, dlog) ->
+            let defects = Injection.contributing net pats defects in
             let r = Dict_diag.diagnose full dlog in
             qs :=
               Metrics.evaluate net ~injected:defects
@@ -858,17 +850,9 @@ let ablation_exact ~trials ~seed =
           let session = Session.create ~config:prewarmed net pats in
           let rng = Rng.create (cell_seed seed (name ^ "exact") k) in
           for _ = 1 to trials do
-            let rec draw attempts =
-              if attempts = 0 then None
-              else
-                let defects = Injection.random_defects rng net Injection.default_mix k in
-                let observed = Injection.observed_responses net pats defects in
-                let dlog = Datalog.of_responses ~expected ~observed in
-                if Datalog.num_failing dlog = 0 then draw (attempts - 1) else Some dlog
-            in
-            match draw 50 with
+            match Arms.draw_failing rng net pats ~expected ~multiplicity:k with
             | None -> ()
-            | Some dlog ->
+            | Some (_, dlog) ->
               let m = Explain.build_session session dlog in
               let greedy =
                 Noassume.diagnose_matrix

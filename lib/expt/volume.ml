@@ -39,26 +39,30 @@ let c_dies = Obs.counter "volume.dies"
 
 let datalog_ext = ".datalog"
 
-let load_dir session dir =
+let die_name path = Filename.remove_extension (Filename.basename path)
+
+let read_die session path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg -> Error msg
+  | text -> (
+    let npatterns = Pattern.count (Session.patterns session) in
+    let npos = Netlist.num_pos (Session.netlist session) in
+    match Datalog.of_text ~npatterns ~npos text with
+    | dlog -> Ok { name = die_name path; dlog }
+    | exception Invalid_argument msg -> Error (path ^ ": " ^ msg))
+
+let datalog_paths dir =
   let files = Sys.readdir dir in
   Array.sort compare files;
-  let npatterns = Pattern.count (Session.patterns session) in
-  let npos = Netlist.num_pos (Session.netlist session) in
   Array.to_list files
   |> List.filter (fun f -> Filename.check_suffix f datalog_ext)
-  |> List.map (fun f ->
-         let path = Filename.concat dir f in
-         (* [Fun.protect]: a short read or a datalog parse error must not
-            leak the descriptor — a volume directory can hold thousands
-            of dies, enough to exhaust the fd table mid-load. *)
-         let ic = open_in path in
-         let text =
-           Fun.protect
-             ~finally:(fun () -> close_in_noerr ic)
-             (fun () -> really_input_string ic (in_channel_length ic))
-         in
-         try { name = Filename.chop_suffix f datalog_ext; dlog = Datalog.of_text ~npatterns ~npos text }
-         with Invalid_argument msg -> invalid_arg (Printf.sprintf "%s: %s" path msg))
+  |> List.map (Filename.concat dir)
+
+let load_dir session dir =
+  List.map
+    (fun path ->
+      match read_die session path with Ok d -> d | Error msg -> invalid_arg msg)
+    (datalog_paths dir)
 
 let diagnose_die ?config session d =
   let config =

@@ -38,12 +38,21 @@ type rollup = {
   nets : net_rollup list;
 }
 
+val die_name : string -> string
+(** A datalog path's die name: its basename without the extension. *)
+
+val read_die : Session.t -> string -> (die, string) result
+(** Read and parse one datalog file against the session's test set and
+    outputs.  A file that cannot be read or parsed is an [Error] whose
+    message names the path; nothing is raised and no descriptor leaks. *)
+
+val datalog_paths : string -> string list
+(** The [*.datalog] files of a directory, sorted by name.  Raises
+    [Sys_error] when the directory cannot be read. *)
+
 val load_dir : Session.t -> string -> die list
-(** All [*.datalog] files of a directory, sorted by name; die names are
-    the basenames.  Raises [Invalid_argument] on malformed datalogs
-    (message prefixed with the offending die file's path), [Sys_error]
-    on unreadable paths.  Never leaks a descriptor, whichever die
-    fails. *)
+(** {!read_die} over {!datalog_paths}.  Raises [Invalid_argument] with
+    the first failing die's message. *)
 
 val diagnose_die : ?config:Noassume.config -> Session.t -> die -> die_result
 (** One die under a private sink.  [config] defaults to

@@ -2,11 +2,9 @@
    several worker counts, against one prewarmed session — the shape
    `diagnose --batch-dir` runs.
 
-   Methodology follows [Batchbench]: seeded-random patterns (the bench
-   measures the service loop, not ATPG), wall clock, worker counts
-   interleaved run by run so machine-speed drift lands on every arm
-   equally, and speedups as ratios of best (minimum) drain times —
-   scheduling noise only ever adds time.  The one-time arena build is
+   Seeded-random patterns (the bench measures the service loop, not
+   ATPG); one {!Arms} arm per worker count, speedups as ratios of best
+   (minimum) drain times.  The one-time arena build is
    reported separately as [prewarm_ms]: it amortises over the die
    count, which is the rnd50k cold-start story (EXPERIMENTS Fig 1a).
 
@@ -35,46 +33,6 @@ type report = {
   skipped_workers : int list;  (* arms above the available core count, not timed *)
 }
 
-let now_ms () = Unix.gettimeofday () *. 1e3
-
-let median a =
-  let a = Array.copy a in
-  Array.sort compare a;
-  let n = Array.length a in
-  if n = 0 then nan
-  else if n mod 2 = 1 then a.(n / 2)
-  else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
-
-let find_circuit name =
-  match Generators.find_suite name with
-  | Some n -> n
-  | None -> (
-    match Generators.find_tier name with
-    | Some n -> n
-    | None -> invalid_arg ("Volumebench: unknown circuit or tier " ^ name))
-
-(* Distinct failing datalogs, one per die, drawn from one seeded
-   stream — the same die list for every worker count. *)
-let prepare ~circuit ~patterns ~dies ~multiplicity ~seed =
-  let net = find_circuit circuit in
-  let rng = Rng.create seed in
-  let pats = Pattern.random rng ~npis:(Netlist.num_pis net) ~count:patterns in
-  let expected = Logic_sim.responses net pats in
-  let rec make_dlog attempts =
-    if attempts = 0 then failwith "Volumebench: no failing defect combination found"
-    else begin
-      let defects = Injection.random_defects rng net Injection.default_mix multiplicity in
-      let observed = Injection.observed_responses net pats defects in
-      let dlog = Datalog.of_responses ~expected ~observed in
-      if Datalog.num_failing dlog = 0 then make_dlog (attempts - 1) else dlog
-    end
-  in
-  let queue =
-    List.init dies (fun i ->
-        { Volume.name = Printf.sprintf "die%03d" i; dlog = make_dlog 50 })
-  in
-  (net, pats, queue)
-
 let default_patterns = 4 * Bitvec.word_bits
 
 let run ?(circuit = "rnd2k") ?(worker_counts = [ 1; 2; 4 ]) ?(repeats = 3)
@@ -85,20 +43,18 @@ let run ?(circuit = "rnd2k") ?(worker_counts = [ 1; 2; 4 ]) ?(repeats = 3)
   let cores = Domain.recommended_domain_count () in
   let skipped_workers = List.filter (fun w -> w > cores) worker_counts in
   let worker_counts = List.filter (fun w -> w <= cores) worker_counts in
-  let net, pats, queue = prepare ~circuit ~patterns ~dies ~multiplicity ~seed in
-  let t0 = now_ms () in
+  (* One die list, the same for every worker count. *)
+  let net, pats, dlogs =
+    Arms.problem ~patterns:(`Random patterns) ~multiplicity ~dies ~seed circuit
+  in
+  let queue = List.mapi (fun i dlog -> { Volume.name = Printf.sprintf "die%03d" i; dlog }) dlogs in
+  let t0 = Arms.now_ms () in
   let session =
     Session.create ~config:{ Session.default_config with Session.prewarm = true } net pats
   in
-  let prewarm_ms = now_ms () -. t0 in
-  let drain workers =
-    let t0 = now_ms () in
-    ignore (Sys.opaque_identity (Volume.run ~workers session queue));
-    now_ms () -. t0
-  in
-  (* Untimed pass: pays allocation ramp-up outside every timed run and
-     counts what a drain simulates.  Per-die sinks record whether or
-     not the global registry is on. *)
+  let prewarm_ms = Arms.now_ms () -. t0 in
+  (* Untimed pass: counts what a drain simulates.  Per-die sinks record
+     whether or not the global registry is on. *)
   let counter (r : Run_report.t) name =
     Option.value ~default:0 (List.assoc_opt name (Run_report.counters r))
   in
@@ -117,30 +73,28 @@ let run ?(circuit = "rnd2k") ?(worker_counts = [ 1; 2; 4 ]) ?(repeats = 3)
         acc + counter (Run_report.capture ~sink ()) "sim.faults_simulated")
       0 queue
   in
-  let times = Array.of_list (List.map (fun w -> (w, Array.make repeats 0.0)) worker_counts) in
-  for i = 0 to repeats - 1 do
-    Array.iter (fun (w, a) -> a.(i) <- drain w) times
-  done;
-  let best_of a = Array.fold_left min a.(0) a in
+  let times =
+    Arms.run ~repeats
+      (List.map (fun workers -> Arms.call (fun () -> Volume.run ~workers session queue)) worker_counts)
+  in
+  let timed = List.combine worker_counts (List.map Stats.minimum times) in
   let base =
-    match Array.find_opt (fun (w, _) -> w = 1) times with
-    | Some (_, a) -> best_of a
-    | None -> (match times with [||] -> nan | _ -> best_of (snd times.(0)))
+    match (List.assoc_opt 1 timed, timed) with
+    | Some b, _ | None, (_, b) :: _ -> b
+    | None, [] -> nan
   in
   let samples =
-    Array.to_list
-      (Array.map
-         (fun (w, a) ->
-           let best = best_of a in
-           {
-             workers = w;
-             runs = repeats;
-             median_ms = median a;
-             best_ms = best;
-             dps = float_of_int dies /. (best /. 1e3);
-             speedup_vs_1 = base /. best;
-           })
-         times)
+    List.map2
+      (fun (w, best) ms ->
+        {
+          workers = w;
+          runs = repeats;
+          median_ms = Stats.median ms;
+          best_ms = best;
+          dps = float_of_int dies /. (best /. 1e3);
+          speedup_vs_1 = base /. best;
+        })
+      timed times
   in
   { circuit; dies; repeats; prewarm_ms; misses; explain_simulated; samples; skipped_workers }
 
@@ -185,29 +139,27 @@ let to_table r =
     r.samples;
   table
 
-let json_of_report r =
-  let buf = Buffer.create 1024 in
-  Printf.bprintf buf "{\n  \"circuit\": %S,\n  \"dies\": %d,\n  \"repeats\": %d,\n"
-    r.circuit r.dies r.repeats;
-  Printf.bprintf buf "  \"prewarm_ms\": %.3f,\n" r.prewarm_ms;
-  Printf.bprintf buf "  \"misses\": %d,\n  \"explain_simulated\": %d,\n" r.misses
-    r.explain_simulated;
-  Printf.bprintf buf "  \"skipped_workers\": [%s],\n"
-    (String.concat ", " (List.map string_of_int r.skipped_workers));
-  Printf.bprintf buf "  \"best_multiworker_speedup\": %.4f,\n  \"samples\": [\n"
-    (best_speedup r);
-  List.iteri
-    (fun i s ->
-      Printf.bprintf buf
-        "    {\"workers\": %d, \"runs\": %d, \"median_ms\": %.3f, \"best_ms\": %.3f, \
-         \"diagnoses_per_sec\": %.4f, \"speedup_vs_1\": %.4f}%s\n"
-        s.workers s.runs s.median_ms s.best_ms s.dps s.speedup_vs_1
-        (if i = List.length r.samples - 1 then "" else ","))
-    r.samples;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
-
-let write_json ~path r =
-  let oc = open_out path in
-  output_string oc (json_of_report r);
-  close_out oc
+let to_json r =
+  let sample s =
+    Obs_json.Obj
+      [
+        ("workers", Arms.int s.workers);
+        ("runs", Arms.int s.runs);
+        ("median_ms", Obs_json.Num s.median_ms);
+        ("best_ms", Obs_json.Num s.best_ms);
+        ("diagnoses_per_sec", Obs_json.Num s.dps);
+        ("speedup_vs_1", Obs_json.Num s.speedup_vs_1);
+      ]
+  in
+  Obs_json.Obj
+    [
+      ("circuit", Obs_json.Str r.circuit);
+      ("dies", Arms.int r.dies);
+      ("repeats", Arms.int r.repeats);
+      ("prewarm_ms", Obs_json.Num r.prewarm_ms);
+      ("misses", Arms.int r.misses);
+      ("explain_simulated", Arms.int r.explain_simulated);
+      ("skipped_workers", Obs_json.List (List.map Arms.int r.skipped_workers));
+      ("best_multiworker_speedup", Obs_json.Num (best_speedup r));
+      ("samples", Obs_json.List (List.map sample r.samples));
+    ]

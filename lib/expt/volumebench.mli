@@ -1,9 +1,8 @@
 (** Volume-throughput bench: diagnoses/second of {!Volume.run} at
     several worker counts against one prewarmed session (the shape of
-    [diagnose --batch-dir]).  Worker counts are interleaved run by run
-    and speedups divide best (minimum) drain times, the same noise
-    defenses as {!Batchbench}.  One untimed pass also counts what the
-    drain simulated, which must be nothing. *)
+    [diagnose --batch-dir]).  Each worker count is one {!Arms} arm, and
+    speedups divide best (minimum) drain times.  One untimed pass also
+    counts what the drain simulated, which must be nothing. *)
 
 type sample = {
   workers : int;
@@ -59,5 +58,8 @@ val best_speedup : report -> float
     treats as "no signal", not a regression. *)
 
 val to_table : report -> Table.t
-val json_of_report : report -> string
-val write_json : path:string -> report -> unit
+val to_json : report -> Obs_json.t
+(** Stable shape: [{"circuit", "dies", "repeats", "prewarm_ms",
+    "misses", "explain_simulated", "skipped_workers",
+    "best_multiworker_speedup", "samples": [{"workers", "runs",
+    "median_ms", "best_ms", "diagnoses_per_sec", "speedup_vs_1"}]}]. *)

@@ -668,3 +668,5 @@ let tiers () =
     l
 
 let find_tier name = Option.map Lazy.force (List.assoc_opt name (tiers ()))
+
+let find name = match find_suite name with Some _ as n -> n | None -> find_tier name

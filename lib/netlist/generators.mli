@@ -100,3 +100,6 @@ val tiers : unit -> (string * Netlist.t Lazy.t) list
 
 val find_tier : string -> Netlist.t option
 (** Look a tier circuit up by name, forcing its construction. *)
+
+val find : string -> Netlist.t option
+(** The suite first, then the tiers: suite lookups never force a tier. *)

@@ -1,3 +1,10 @@
+(* Three-valued (0/1/X) simulation: a whole-netlist pass per call over
+   [Gate.eval_v3].  The full-resimulation PODEM oracle ([Podem_ref])
+   runs on it. *)
+
+(* [simulate_forced t pi_values forced]: per-net values for the PI
+   assignment (indexed by PI position, X allowed), the listed nets
+   taking the forced value instead of their computed one. *)
 let simulate_forced t pi_values forced =
   let npis = Netlist.num_pis t in
   if Array.length pi_values <> npis then
@@ -21,13 +28,3 @@ let simulate_forced t pi_values forced =
   values
 
 let simulate t pi_values = simulate_forced t pi_values []
-
-let x_reach t pattern site =
-  let pi_values = Array.map Logic.v3_of_bool pattern in
-  let values = simulate_forced t pi_values [ (site, Logic.X) ] in
-  let out = ref [] in
-  let pos = Netlist.pos t in
-  for oi = Array.length pos - 1 downto 0 do
-    if Logic.v3_equal values.(pos.(oi)) Logic.X then out := oi :: !out
-  done;
-  !out

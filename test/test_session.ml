@@ -340,6 +340,35 @@ let test_per_die_sinks () =
         true (evals > 0))
     results
 
+(* A die that cannot be read or parsed fails alone: [read_die] returns
+   an error naming the path, and the directory listing still yields
+   every die in name order. *)
+let test_read_die_isolates_bad () =
+  let session = cold_session (config ~prune:true ~prewarm:false) in
+  let dir = tmpdir () in
+  let write name text =
+    Out_channel.with_open_bin (Filename.concat dir name) (fun oc -> output_string oc text)
+  in
+  let dlog = Option.get (make_dlog 4242 2) in
+  write "a_good.datalog" (Datalog.to_text dlog);
+  write "b_bad.datalog" "garbage\n";
+  write "notes.txt" "not a datalog";
+  let paths = Volume.datalog_paths dir in
+  Alcotest.(check (list string)) "datalog files, sorted" [ "a_good"; "b_bad" ]
+    (List.map Volume.die_name paths);
+  (match List.map (Volume.read_die session) paths with
+  | [ Ok d; Error msg ] ->
+    Alcotest.(check string) "die name" "a_good" d.Volume.name;
+    Alcotest.(check string) "datalog" (Datalog.to_text dlog) (Datalog.to_text d.Volume.dlog);
+    Alcotest.(check bool) "message names the file" true
+      (String.starts_with ~prefix:(Filename.concat dir "b_bad.datalog") msg)
+  | _ -> Alcotest.fail "expected one good and one bad die");
+  Alcotest.(check bool) "missing file is an error" true
+    (Result.is_error (Volume.read_die session (Filename.concat dir "missing.datalog")));
+  match Volume.load_dir session dir with
+  | _ -> Alcotest.fail "load_dir accepted a malformed die"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [
     ( "session",
@@ -361,5 +390,7 @@ let suite =
             test_fault_triples_probes;
           Alcotest.test_case "pruned snapshot rejected by an unpruned session" `Quick
             test_store_pool_mismatch;
+          Alcotest.test_case "read_die: a bad die fails alone" `Quick
+            test_read_die_isolates_bad;
         ] );
   ]

@@ -34,36 +34,6 @@ let test_forced_overrides () =
   let g16 = Option.get (Netlist.find net "G16") in
   Alcotest.check v3 "X propagates" Logic.X values.(g16)
 
-let test_x_reach_exact_on_c17 () =
-  (* x_reach over-approximates the outputs a flip can corrupt, and on
-     each pattern contains every output an actual flip does corrupt. *)
-  let net = Generators.c17 () in
-  let pats = Pattern.exhaustive ~npis:5 in
-  for p = 0 to Pattern.count pats - 1 do
-    let inputs = Pattern.pattern pats p in
-    let good = Logic_sim.simulate_pattern net inputs in
-    Netlist.iter_nets net (fun site ->
-        let reach = Ternary_sim.x_reach net inputs site in
-        (* Actual flip effect via overlay simulation. *)
-        let flipped =
-          Logic_sim.responses_overlay net
-            (Pattern.of_list ~npis:5 [ inputs ])
-            [ Logic_sim.force site (not good.(site)) ]
-        in
-        Array.iteri
-          (fun oi po ->
-            let changed =
-              Bitvec.get flipped.(oi) 0
-              <> (Logic_sim.simulate_pattern net inputs).(po)
-            in
-            if changed then
-              Alcotest.(check bool)
-                (Printf.sprintf "flip of %s seen at %s" (Netlist.name net site)
-                   (Netlist.name net po))
-                true (List.mem oi reach))
-          (Netlist.pos net))
-  done
-
 let test_pi_width_check () =
   let net = Generators.c17 () in
   Alcotest.check_raises "width" (Invalid_argument "Ternary_sim: PI vector width mismatch")
@@ -76,7 +46,6 @@ let suite =
         Alcotest.test_case "binary agrees with bool sim" `Quick test_binary_agrees_with_bool;
         Alcotest.test_case "x propagation" `Quick test_x_propagation;
         Alcotest.test_case "forced overrides" `Quick test_forced_overrides;
-        Alcotest.test_case "x_reach covers real flips (c17)" `Quick test_x_reach_exact_on_c17;
         Alcotest.test_case "pi width check" `Quick test_pi_width_check;
       ] );
   ]
